@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 from .bps import (
     BpsConfig,
     CoupledCompareResult,
-    bps_step,
     coupled_compare,
     run_bps,
     run_bps_ensemble,
@@ -34,7 +33,6 @@ from .objectives import (
     AnalyticObjective,
     GradientBoundError,
     LinearRegressionObjective,
-    MiniBatch,
     Objective,
     ObjectiveMetadata,
     QuadraticBowlObjective,
@@ -44,13 +42,10 @@ from .objectives import (
     double_well_2d,
     linreg_synthetic,
     quadratic_bowl,
-    sample_minibatch,
 )
 from .optimizer import (
     EnsembleResult,
-    OptimizerState,
     PoissonSgdConfig,
-    poisson_sgd_step,
     reflect,
     run_poisson_sgd,
     run_poisson_sgd_ensemble,
@@ -103,9 +98,7 @@ __all__ = [
     "AnalyticObjective",
     "QuadraticBowlObjective",
     "LinearRegressionObjective",
-    "MiniBatch",
     "GradientBoundError",
-    "sample_minibatch",
     "check_gradient",
     "build_objective",
     "BUILTIN_OBJECTIVES",
@@ -115,15 +108,12 @@ __all__ = [
     "linreg_synthetic",
     # optimizer
     "PoissonSgdConfig",
-    "OptimizerState",
-    "poisson_sgd_step",
     "reflect",
     "run_poisson_sgd",
     "run_poisson_sgd_ensemble",
     "EnsembleResult",
     # sampler chain
     "BpsConfig",
-    "bps_step",
     "run_bps",
     "run_bps_ensemble",
     "coupled_compare",

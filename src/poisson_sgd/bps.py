@@ -9,12 +9,17 @@ is chosen with probability ``(beta * <grad L, v>_+ + C_B) / (beta *
 velocity refreshes uniformly on the sphere. In coupling mode the constants
 satisfy ``Lambda_ref + C_B = beta * M + 1/epsilon``, matching the optimizer's
 constant floor, which is what makes the two chains directly comparable.
+
+The sampler runs on the optimizer's lock-step chain loop
+(``optimizer._run_chains``): this module supplies only its constants and its
+velocity turn (reflect or refresh), so both chains share every other line of
+the step. ``run_bps`` is the one-chain case that returns the chain's record,
+with the event tag and reflect probability of every kept step.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,13 +27,19 @@ import numpy as np
 
 from .metrics import sliced_wasserstein1
 from .objectives import Objective
-from .optimizer import EnsembleResult, OptimizerState, PoissonSgdConfig, _initial_state, reflect, run_poisson_sgd_ensemble
+from .optimizer import (
+    EnsembleResult,
+    PoissonSgdConfig,
+    _initial_rows,
+    _run_chains,
+    reflect,
+    run_poisson_sgd_ensemble,
+)
 from .records import RunRecord
-from .sampler import RayRate, RngStream, sample_ray_exponential, thin_first_arrivals, uniform_sphere
+from .sampler import RngStream, uniform_sphere
 
 __all__ = [
     "BpsConfig",
-    "bps_step",
     "run_bps",
     "run_bps_ensemble",
     "CoupledCompareResult",
@@ -137,65 +148,53 @@ class BpsConfig:
         }
 
 
-def bps_step(state: OptimizerState, objective: Objective, cfg: BpsConfig) -> OptimizerState:
-    """One event: move by the drawn radius, then reflect or refresh."""
-    domain = objective.domain
-    grad_field = objective.grad_field(None)
+def _reflect_or_refresh(cfg: BpsConfig, d: int, rng: RngStream):
+    """The sampler's velocity turn and a running count of its refreshes.
 
-    base, direction = state.theta.copy(), state.velocity.copy()
-    ray = RayRate(
-        base_point=base,
-        direction=direction,
-        beta=cfg.beta,
-        constant_floor=cfg.floor,
-        grad_field=grad_field,
-        grad_norm_bound=objective.grad_norm_bound,
-        wrap=domain.wrap,
-        seam_radii=lambda length: domain.ray_seam_radii(base, direction, length),
-    )
-    eta = sample_ray_exponential(ray, state.rng)
+    Per step it draws ``random(N)`` for the reflect-or-refresh choices, then
+    ``N`` fresh sphere directions, whichever chains use them.
+    """
+    refreshes = [0]
 
-    state.theta = domain.wrap(state.theta + eta * state.velocity)
-    grad_new = np.asarray(grad_field(state.theta), dtype=float)
-    objective.check_grad_norms(grad_new)
-    lam = cfg.beta * max(float(grad_new @ state.velocity), 0.0)
-    p_reflect = (lam + cfg.c_b) / (lam + cfg.lambda_ref + cfg.c_b)
-    if state.rng.generator.random() < p_reflect:
-        state.velocity = reflect(state.velocity, grad_new)
-        state.last_event = "reflect"
-    else:
-        state.velocity = uniform_sphere(domain.dim, state.rng)
-        state.last_event = "refresh"
-    state.renormalize()
-    state.k += 1
-    state.last_eta = eta
-    state.last_grad_norm = float(np.linalg.norm(grad_new))
-    state.last_p_reflect = p_reflect
-    return state
+    def turn(vels: np.ndarray, grads: np.ndarray):
+        lam = cfg.beta * np.maximum(np.einsum("nd,nd->n", grads, vels), 0.0)
+        p_reflect = (lam + cfg.c_b) / (lam + cfg.lambda_ref + cfg.c_b)
+        do_reflect = rng.generator.random(len(vels)) < p_reflect
+        fresh = uniform_sphere(d, rng, len(vels))
+        refreshes[0] += int(len(vels) - do_reflect.sum())
+
+        def tags(i: int) -> dict:
+            event = "reflect" if do_reflect[i] else "refresh"
+            return {"event": event, "p_reflect": float(p_reflect[i])}
+
+        return np.where(do_reflect[:, None], reflect(vels, grads), fresh), tags
+
+    return turn, refreshes
 
 
 def run_bps(objective: Objective, cfg: BpsConfig) -> RunRecord:
-    """Run K events and return the stride-thinned record with event tags."""
-    started = time.perf_counter()
-    state = _initial_state(objective, cfg.initial_point, cfg.initial_velocity, cfg.seed)
-    record = RunRecord(kind="bps", config=cfg.to_dict(), stride=cfg.record_stride)
-    if cfg.n_steps == 0:
-        record.append(0, state.theta, state.velocity, force=True)
-    for k in range(1, cfg.n_steps + 1):
-        bps_step(state, objective, cfg)
-        record.append(
-            k,
-            state.theta,
-            state.velocity,
-            eta=state.last_eta,
-            force=(k == cfg.n_steps),
-            event=state.last_event,
-            p_reflect=state.last_p_reflect,
-            grad_norm=state.last_grad_norm,
-        )
-    record.wall_time_s = time.perf_counter() - started
-    record.max_norm_deviation = state.max_norm_deviation
-    return record
+    """Run one chain for K events and return its stride-thinned record with
+    event tags; the chain is chain 0 of the one-chain ensemble seeded by
+    ``cfg.seed``."""
+    rng = RngStream(cfg.seed)
+    turn, _ = _reflect_or_refresh(cfg, objective.domain.dim, rng)
+    points, velocities = _initial_rows(cfg)
+    result = _run_chains(
+        objective,
+        cfg,
+        1,
+        rng,
+        points,
+        velocities,
+        (),
+        (0,),
+        turn=turn,
+        floor=cfg.floor,
+        batch_size=0,
+        kind="bps",
+        record_risk=False,
+    )
+    return result.records[0]
 
 
 def run_bps_ensemble(
@@ -206,86 +205,32 @@ def run_bps_ensemble(
     initial_points: np.ndarray | None = None,
     initial_velocities: np.ndarray | None = None,
     snapshot_steps: Sequence[int] = (),
+    record_chains: Sequence[int] = (),
 ) -> EnsembleResult:
     """Lock-step vectorized ensemble of independent sampler chains.
 
-    Mirrors ``run_poisson_sgd_ensemble``; the per-step extras track the
-    realized refresh fraction, which stationarity diagnostics use.
+    Takes the same arguments as ``run_poisson_sgd_ensemble``; the extras
+    track the realized refresh fraction, which stationarity diagnostics use.
     """
-    domain = objective.domain
-    d = domain.dim
-    N = int(n_chains)
-    if N < 1:
-        raise ValueError("n_chains must be >= 1")
     rng = RngStream(cfg.seed) if rng is None else rng
-    gen = rng.generator
-
-    if initial_points is None:
-        thetas = domain.sample_uniform(gen, N)
-    else:
-        thetas = domain.wrap(np.array(initial_points, dtype=float))
-        if thetas.shape != (N, d):
-            raise ValueError(f"initial_points must have shape ({N}, {d})")
-    if initial_velocities is None:
-        vels = uniform_sphere(d, rng, N)
-    else:
-        vels = np.array(initial_velocities, dtype=float)
-        if vels.shape != (N, d):
-            raise ValueError(f"initial_velocities must have shape ({N}, {d})")
-        norms = np.linalg.norm(vels, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise ValueError("initial_velocities must be unit vectors")
-        vels = vels / norms[:, None]
-
-    field = objective.grad_field(None)
-    floor = cfg.floor
-    ceiling = cfg.ceiling(objective.grad_norm_bound)
-    wanted = {int(s) for s in snapshot_steps}
-    snapshots: dict[int, np.ndarray] = {}
-    if 0 in wanted:
-        snapshots[0] = thetas.copy()
-
-    max_dev = 0.0
-    eta_sum = 0.0
-    n_refresh = 0
-    for k in range(1, cfg.n_steps + 1):
-        if cfg.beta == 0.0:
-            etas = gen.exponential(1.0 / floor, size=N)
-        else:
-
-            def rate_rows(radii: np.ndarray, rows: np.ndarray) -> np.ndarray:
-                pts = thetas[rows, None, :] + radii[..., None] * vels[rows, None, :]
-                grads = field(domain.wrap(pts), rows=rows)
-                proj = np.einsum("kbd,kd->kb", grads, vels[rows])
-                return cfg.beta * np.maximum(proj, 0.0) + floor
-
-            etas = thin_first_arrivals(rate_rows, N, floor, ceiling, rng)
-        eta_sum += float(etas.sum())
-
-        thetas = domain.wrap(thetas + etas[:, None] * vels)
-        grads = np.asarray(field(thetas, rows=None), dtype=float)
-        lam = cfg.beta * np.maximum(np.einsum("nd,nd->n", grads, vels), 0.0)
-        p_reflect = (lam + cfg.c_b) / (lam + cfg.lambda_ref + cfg.c_b)
-        do_reflect = gen.random(N) < p_reflect
-        fresh = uniform_sphere(d, rng, N)
-        vels = np.where(do_reflect[:, None], reflect(vels, grads), fresh)
-        n_refresh += int(N - do_reflect.sum())
-
-        norms = np.linalg.norm(vels, axis=1)
-        max_dev = max(max_dev, float(np.max(np.abs(norms - 1.0))))
-        vels = vels / norms[:, None]
-        if k in wanted:
-            snapshots[k] = thetas.copy()
-
-    return EnsembleResult(
-        thetas=thetas,
-        velocities=vels,
-        n_steps=cfg.n_steps,
-        max_norm_deviation=max_dev,
-        mean_eta=eta_sum / max(1, cfg.n_steps * N),
-        snapshots=snapshots,
-        extras={"refresh_fraction": n_refresh / max(1, cfg.n_steps * N)},
+    turn, refreshes = _reflect_or_refresh(cfg, objective.domain.dim, rng)
+    result = _run_chains(
+        objective,
+        cfg,
+        n_chains,
+        rng,
+        initial_points,
+        initial_velocities,
+        snapshot_steps,
+        record_chains,
+        turn=turn,
+        floor=cfg.floor,
+        batch_size=0,
+        kind="bps",
+        record_risk=False,
     )
+    result.extras["refresh_fraction"] = refreshes[0] / max(1, cfg.n_steps * int(n_chains))
+    return result
 
 
 @dataclass(frozen=True)

@@ -63,8 +63,8 @@ def _cmd_run(args) -> int:
         return 2
     if args.seed is not None:
         spec["seed"] = args.seed
-    cfg = ExperimentConfig.from_dict(spec)
     try:
+        cfg = ExperimentConfig.from_dict(spec)
         workers = worker_count()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

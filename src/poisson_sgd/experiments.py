@@ -1,12 +1,13 @@
 """Config-driven experiments with persisted, replayable artifacts.
 
-Five experiment kinds map to the questions the algorithms are built to
+Six experiment kinds map to the questions the algorithms are built to
 answer: ``escape`` (does the random learning rate leave a local basin plain
 SGD is stuck in), ``stationarity`` (does the step-K law match the closed-form
 density), ``beta_sweep`` (does final risk drop as beta grows),
 ``coupling`` (how far apart are the optimizer's and the sampler's step-K
 laws), ``generalization`` (does the train/test gap shrink with dataset
-size), plus ``baseline`` for the reference optimizers alone.
+size), and ``baseline`` (the reference optimizers alone). A config's
+``protocol`` overrides the kind's defaults and may name no other key.
 
 Every run writes raw artifacts first (endpoint arrays, records, reference
 grids), then derives all summary tables from those artifacts, so ``analyze``
@@ -31,7 +32,7 @@ from .bps import BpsConfig, coupled_compare, run_bps, run_bps_ensemble
 from .domain import TorusDomain
 from .metrics import histogram_tv, ks_statistic, sliced_wasserstein1
 from .objectives import LinearRegressionObjective, Objective, build_objective
-from .optimizer import PoissonSgdConfig, run_poisson_sgd, run_poisson_sgd_ensemble
+from .optimizer import PoissonSgdConfig, _sample_batches, run_poisson_sgd, run_poisson_sgd_ensemble
 from .records import RunRecord, canonical_json
 from .sampler import RngStream, uniform_sphere
 from .stationary import StationaryDensity, grid_mean_risk
@@ -75,6 +76,16 @@ class ExperimentConfig:
             )
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.trials < 2 and self.kind in _SPREAD_KINDS:
+            raise ValueError(
+                f"{self.kind} needs trials >= 2: its summary reports the spread over trials"
+            )
+        known = EXPERIMENT_KINDS[self.kind][2]()
+        unknown = sorted(set(self.protocol) - set(known))
+        if unknown:
+            raise ValueError(
+                f"unknown {self.kind} protocol keys {unknown}; known: {sorted(known)}"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -109,6 +120,10 @@ class ExperimentConfig:
 
     def stream(self, *key: int) -> RngStream:
         return RngStream(self.seed, spawn_key=tuple(int(k) for k in key))
+
+    def params(self) -> dict:
+        """The kind's default protocol overridden by this config's."""
+        return {**EXPERIMENT_KINDS[self.kind][2](), **self.protocol}
 
 
 # ----------------------------------------------------------------------
@@ -214,9 +229,7 @@ def _run_sgd_ensemble(
     m = n if batch_size == 0 else batch_size
     for _ in range(n_steps):
         if m < n:
-            keys = gen.random((thetas.shape[0], n))
-            idx = np.sort(np.argpartition(keys, m - 1, axis=1)[:, :m], axis=1)
-            grads = objective.grad_field(idx)(thetas)
+            grads = objective.grad_field(_sample_batches(gen, len(thetas), n, m))(thetas)
         else:
             grads = objective.grad(thetas)
         thetas = thetas - rate * grads
@@ -246,7 +259,7 @@ def _classify_endpoints(objective: Objective, thetas: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _escape_defaults(objective: Objective) -> dict:
+def _escape_defaults() -> dict:
     return {
         "beta": 0.01,
         "epsilon": 0.05,
@@ -277,7 +290,7 @@ def _escape_init(objective: Objective, params: dict, trials: int, rng: RngStream
 
 def _run_escape(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     objective = cfg.build_objective()
-    params = {**_escape_defaults(objective), **cfg.protocol}
+    params = cfg.params()
     trials = cfg.trials
     inits = _escape_init(objective, params, trials, cfg.stream(0))
     init_vels = uniform_sphere(objective.domain.dim, cfg.stream(1), trials)
@@ -286,11 +299,15 @@ def _run_escape(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     _save_cloud(out_dir / "inits.npy", inits)
     (out_dir / "params.json").write_text(canonical_json(params) + "\n")
 
+    # the first few scored chains are recorded as trajectories for the figure
+    n_traj = min(int(params["n_trajectories"]), trials)
     opt_cfg = PoissonSgdConfig(
         beta=float(params["beta"]),
         epsilon=float(params["epsilon"]),
         n_steps=int(params["n_steps"]),
         seed=cfg.seed,
+        record_stride=int(params["trajectory_stride"]),
+        record_risk=False,
     )
     opt = run_poisson_sgd_ensemble(
         objective,
@@ -299,9 +316,14 @@ def _run_escape(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
         rng=cfg.stream(2),
         initial_points=inits,
         initial_velocities=init_vels,
+        record_chains=range(n_traj),
     )
     _save_cloud(out_dir / "endpoints_poisson_sgd.npy", opt.thetas)
     artifacts.append("endpoints_poisson_sgd.npy")
+    for i, rec in enumerate(opt.records):
+        rec.to_csv(out_dir / f"trajectory_{i}.csv")
+        rec.to_ndjson(out_dir / f"trajectory_{i}.ndjson")
+        artifacts += [f"trajectory_{i}.csv", f"trajectory_{i}.ndjson"]
 
     rate = float(params["sgd_rate"])
     sgd = _run_sgd_ensemble(objective, rate, int(params["n_steps"]), inits, cfg.stream(3))
@@ -315,22 +337,6 @@ def _run_escape(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     )
     _save_cloud(out_dir / "endpoints_sgld.npy", sgld)
     artifacts.append("endpoints_sgld.npy")
-
-    # a few full trajectories for the figure
-    for i in range(min(int(params["n_trajectories"]), trials)):
-        traj_cfg = PoissonSgdConfig(
-            beta=float(params["beta"]),
-            epsilon=float(params["epsilon"]),
-            n_steps=int(params["n_steps"]),
-            seed=cfg.seed + 1 + i,
-            initial_point=tuple(inits[i]),
-            record_stride=int(params["trajectory_stride"]),
-            record_risk=False,
-        )
-        rec = run_poisson_sgd(objective, traj_cfg)
-        rec.to_csv(out_dir / f"trajectory_{i}.csv")
-        rec.to_ndjson(out_dir / f"trajectory_{i}.ndjson")
-        artifacts += [f"trajectory_{i}.csv", f"trajectory_{i}.ndjson"]
     return artifacts
 
 
@@ -391,7 +397,7 @@ def _geometric_checkpoints(n_steps: int) -> list[int]:
 
 def _run_stationarity(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     objective = cfg.build_objective()
-    params = {**_stationarity_defaults(), **cfg.protocol}
+    params = cfg.params()
     n_steps = int(params["n_steps"])
     checkpoints = params["checkpoints"] or _geometric_checkpoints(n_steps)
     checkpoints = sorted({int(k) for k in checkpoints})
@@ -416,66 +422,43 @@ def _run_stationarity(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     elif params["init"] != "uniform":
         raise ValueError(f"unknown init {params['init']!r}")
 
+    if params["algorithm"] == "bps":
+        algo_cfg = BpsConfig.coupled(
+            beta=float(params["beta"]),
+            epsilon=float(params["epsilon"]),
+            grad_norm_bound=objective.grad_norm_bound,
+            c_b=float(params["c_b"]),
+            n_steps=n_steps,
+            seed=cfg.seed,
+        )
+        run_ensemble, run_single = run_bps_ensemble, run_bps
+    elif params["algorithm"] == "poisson_sgd":
+        algo_cfg = PoissonSgdConfig(
+            beta=float(params["beta"]),
+            epsilon=float(params["epsilon"]),
+            n_steps=n_steps,
+            batch_size=int(params["batch_size"]),
+            seed=cfg.seed,
+        )
+        run_ensemble, run_single = run_poisson_sgd_ensemble, run_poisson_sgd
+    else:
+        raise ValueError(f"unknown algorithm {params['algorithm']!r}")
+
     if params["mode"] == "many-short-chains":
-        if params["algorithm"] == "bps":
-            algo_cfg = BpsConfig.coupled(
-                beta=float(params["beta"]),
-                epsilon=float(params["epsilon"]),
-                grad_norm_bound=objective.grad_norm_bound,
-                c_b=float(params["c_b"]),
-                n_steps=n_steps,
-                seed=cfg.seed,
-            )
-            result = run_bps_ensemble(
-                objective,
-                algo_cfg,
-                cfg.trials,
-                rng=cfg.stream(7),
-                initial_points=init_points,
-                snapshot_steps=checkpoints,
-            )
-        elif params["algorithm"] == "poisson_sgd":
-            algo_cfg = PoissonSgdConfig(
-                beta=float(params["beta"]),
-                epsilon=float(params["epsilon"]),
-                n_steps=n_steps,
-                batch_size=int(params["batch_size"]),
-                seed=cfg.seed,
-            )
-            result = run_poisson_sgd_ensemble(
-                objective,
-                algo_cfg,
-                cfg.trials,
-                rng=cfg.stream(7),
-                initial_points=init_points,
-                snapshot_steps=checkpoints,
-            )
-        else:
-            raise ValueError(f"unknown algorithm {params['algorithm']!r}")
+        result = run_ensemble(
+            objective,
+            algo_cfg,
+            cfg.trials,
+            rng=cfg.stream(7),
+            initial_points=init_points,
+            snapshot_steps=checkpoints,
+        )
         for k, cloud in result.snapshots.items():
             _save_cloud(out_dir / f"cloud_{k:08d}.npy", cloud)
             artifacts.append(f"cloud_{k:08d}.npy")
     elif params["mode"] == "long-chain":
         # one chain; thinned post-burn-in states stand in for the step-K law
-        if params["algorithm"] == "bps":
-            algo_cfg = BpsConfig.coupled(
-                beta=float(params["beta"]),
-                epsilon=float(params["epsilon"]),
-                grad_norm_bound=objective.grad_norm_bound,
-                c_b=float(params["c_b"]),
-                n_steps=n_steps,
-                seed=cfg.seed,
-            )
-            rec = run_bps(objective, algo_cfg)
-        else:
-            algo_cfg = PoissonSgdConfig(
-                beta=float(params["beta"]),
-                epsilon=float(params["epsilon"]),
-                n_steps=n_steps,
-                batch_size=int(params["batch_size"]),
-                seed=cfg.seed,
-            )
-            rec = run_poisson_sgd(objective, algo_cfg)
+        rec = run_single(objective, algo_cfg)
         rec.to_ndjson(out_dir / "chain.ndjson")
         artifacts.append("chain.ndjson")
         thetas = rec.column("theta")
@@ -489,7 +472,7 @@ def _run_stationarity(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
 
 def _analyze_stationarity(cfg: ExperimentConfig, out_dir: Path) -> dict:
     objective = cfg.build_objective()
-    params = {**_stationarity_defaults(), **cfg.protocol}
+    params = cfg.params()
     density = StationaryDensity(objective, float(params["beta"]), float(params["epsilon"]))
     grid = density.grid()
     reference = grid.coarsen((len(grid.edges[0]) - 1) // int(params["bins"]))
@@ -558,7 +541,7 @@ def _beta_sweep_defaults() -> dict:
 
 def _run_beta_sweep(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     objective = cfg.build_objective()
-    params = {**_beta_sweep_defaults(), **cfg.protocol}
+    params = cfg.params()
     (out_dir / "params.json").write_text(canonical_json(params) + "\n")
     artifacts = ["params.json"]
     for i, beta in enumerate(params["betas"]):
@@ -580,7 +563,7 @@ def _run_beta_sweep(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
 
 def _analyze_beta_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
     objective = cfg.build_objective()
-    params = {**_beta_sweep_defaults(), **cfg.protocol}
+    params = cfg.params()
     rows = []
     for i, beta in enumerate(params["betas"]):
         thetas = np.load(out_dir / f"endpoints_beta_{i}.npy")
@@ -616,7 +599,7 @@ def _coupling_defaults() -> dict:
 
 def _run_coupling(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     objective = cfg.build_objective()
-    params = {**_coupling_defaults(), **cfg.protocol}
+    params = cfg.params()
     (out_dir / "params.json").write_text(canonical_json(params) + "\n")
     artifacts = ["params.json"]
     for i, eps in enumerate(params["epsilons"]):
@@ -637,7 +620,7 @@ def _run_coupling(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
 
 
 def _analyze_coupling(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    params = {**_coupling_defaults(), **cfg.protocol}
+    params = cfg.params()
     rows = []
     for i, eps in enumerate(params["epsilons"]):
         a = np.load(out_dir / f"optimizer_cloud_{i}.npy")
@@ -691,7 +674,7 @@ def make_linreg_with_holdout(
 def _generalization_trial(args) -> tuple[int, int, float, float]:
     cfg_dict, n, trial = args
     cfg = ExperimentConfig.from_dict(cfg_dict)
-    params = {**_generalization_defaults(), **cfg.protocol}
+    params = cfg.params()
     dataset_seed = cfg.seed * 1000003 + trial
     train, X_test, y_test = make_linreg_with_holdout(
         n,
@@ -718,7 +701,7 @@ def _generalization_trial(args) -> tuple[int, int, float, float]:
 
 
 def _run_generalization(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
-    params = {**_generalization_defaults(), **cfg.protocol}
+    params = cfg.params()
     (out_dir / "params.json").write_text(canonical_json(params) + "\n")
     jobs = [
         (cfg.to_dict(), int(n), trial)
@@ -738,7 +721,7 @@ def _run_generalization(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
 
 
 def _analyze_generalization(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    params = {**_generalization_defaults(), **cfg.protocol}
+    params = cfg.params()
     data = np.genfromtxt(out_dir / "risks.csv", delimiter=",", names=True)
     rows = []
     for n in params["n_list"]:
@@ -772,7 +755,7 @@ def _baseline_defaults() -> dict:
 
 def _run_baseline(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     objective = cfg.build_objective()
-    params = {**_baseline_defaults(), **cfg.protocol}
+    params = cfg.params()
     (out_dir / "params.json").write_text(canonical_json(params) + "\n")
     inits = objective.domain.sample_uniform(cfg.stream(13).generator, cfg.trials)
     _save_cloud(out_dir / "inits.npy", inits)
@@ -792,7 +775,7 @@ def _run_baseline(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
 
 def _analyze_baseline(cfg: ExperimentConfig, out_dir: Path) -> dict:
     objective = cfg.build_objective()
-    params = {**_baseline_defaults(), **cfg.protocol}
+    params = cfg.params()
     endpoints = np.load(out_dir / "endpoints.npy")
     risks = np.asarray(objective.empirical_risk(endpoints), dtype=float)
     row = {
@@ -812,14 +795,19 @@ def _analyze_baseline(cfg: ExperimentConfig, out_dir: Path) -> dict:
 # dispatch
 # ----------------------------------------------------------------------
 
+# kind -> (runner, analyzer, default protocol); the defaults' keys are also
+# the protocol keys the kind accepts
 EXPERIMENT_KINDS = {
-    "escape": (_run_escape, _analyze_escape),
-    "stationarity": (_run_stationarity, _analyze_stationarity),
-    "beta_sweep": (_run_beta_sweep, _analyze_beta_sweep),
-    "coupling": (_run_coupling, _analyze_coupling),
-    "generalization": (_run_generalization, _analyze_generalization),
-    "baseline": (_run_baseline, _analyze_baseline),
+    "escape": (_run_escape, _analyze_escape, _escape_defaults),
+    "stationarity": (_run_stationarity, _analyze_stationarity, _stationarity_defaults),
+    "beta_sweep": (_run_beta_sweep, _analyze_beta_sweep, _beta_sweep_defaults),
+    "coupling": (_run_coupling, _analyze_coupling, _coupling_defaults),
+    "generalization": (_run_generalization, _analyze_generalization, _generalization_defaults),
+    "baseline": (_run_baseline, _analyze_baseline, _baseline_defaults),
 }
+
+# kinds whose summaries take a ddof=1 standard deviation over trials
+_SPREAD_KINDS = {"beta_sweep", "generalization", "baseline"}
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
@@ -827,7 +815,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _check_manifest(out_dir, cfg)
-    runner, _ = EXPERIMENT_KINDS[cfg.kind]
+    runner, _, _ = EXPERIMENT_KINDS[cfg.kind]
     artifacts = runner(cfg, out_dir)
     seeds = [cfg.seed]
     _write_manifest(out_dir, cfg, seeds, artifacts + ["summary.csv", "summary.json", "plot.py"])
@@ -840,7 +828,7 @@ def analyze_experiment(out_dir) -> dict:
     out_dir = Path(out_dir)
     manifest = _load_manifest(out_dir)
     cfg = ExperimentConfig.from_dict(manifest["config"])
-    _, analyzer = EXPERIMENT_KINDS[cfg.kind]
+    _, analyzer, _ = EXPERIMENT_KINDS[cfg.kind]
     summary = analyzer(cfg, out_dir)
     summary = {"kind": cfg.kind, "config_hash": manifest["config_hash"], **summary}
     (out_dir / "summary.json").write_text(canonical_json(summary) + "\n")

@@ -24,8 +24,6 @@ from .sampler import RngStream
 __all__ = [
     "GradientBoundError",
     "ObjectiveMetadata",
-    "MiniBatch",
-    "sample_minibatch",
     "Objective",
     "AnalyticObjective",
     "QuadraticBowlObjective",
@@ -46,54 +44,15 @@ class GradientBoundError(RuntimeError):
 
 @dataclass(frozen=True)
 class ObjectiveMetadata:
-    """Optional smoothness constants: gradient Lipschitz constant and bounds on
-    the per-sample gradient/loss at the origin of the box."""
+    """Optional smoothness constants: a Lipschitz constant of the per-sample
+    gradient over the box."""
 
     lipschitz_c1: float | None = None
-    grad_at_origin_b: float | None = None
-    loss_at_origin_a: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("lipschitz_c1", "grad_at_origin_b", "loss_at_origin_a"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-
-
-@dataclass(frozen=True, init=False)
-class MiniBatch:
-    """Distinct sample indices, canonicalized to sorted order.
-
-    Sorting makes the m = n batch average exactly the full-batch summation
-    order, so full-batch and all-samples-minibatch gradients agree bitwise.
-    """
-
-    indices: tuple[int, ...]
-
-    def __init__(self, indices: Sequence[int]):
-        idx = tuple(int(i) for i in indices)
-        if len(idx) == 0:
-            raise ValueError("a mini-batch must contain at least one index")
-        if any(i < 0 for i in idx):
-            raise ValueError("indices must be nonnegative")
-        ordered = tuple(sorted(idx))
-        if any(a == b for a, b in zip(ordered, ordered[1:])):
-            raise ValueError("indices must be distinct")
-        object.__setattr__(self, "indices", ordered)
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-
-def sample_minibatch(n: int, m: int, rng: RngStream) -> MiniBatch:
-    """Uniform size-m subset of range(n), without replacement."""
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    idx = rng.generator.choice(int(n), size=int(m), replace=False)
-    return MiniBatch(int(i) for i in idx)
+        value = self.lipschitz_c1
+        if value is not None and not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"lipschitz_c1 must be finite and >= 0, got {value!r}")
 
 
 class Objective:
@@ -157,7 +116,7 @@ class Objective:
     def grad_field(self, batch=None) -> Callable[..., np.ndarray]:
         """Gradient evaluator ``field(points, rows=None)`` for ray samplers.
 
-        ``batch`` may be None (full dataset), a MiniBatch / (m,) vector, or an
+        ``batch`` may be None (full dataset), an (m,) index vector, or an
         (N, m) per-chain matrix; in the matrix case ``rows`` selects which
         chain rows the leading axis of ``points`` refers to.
         """
@@ -177,12 +136,12 @@ class Objective:
 
     def check_grad_norms(self, grads: np.ndarray) -> None:
         """Runtime guard: abort if any observed gradient defeats the bound."""
-        norms = np.linalg.norm(np.atleast_2d(grads), axis=-1)
-        worst = float(np.max(norms)) if norms.size else 0.0
-        if not math.isfinite(worst) or worst > self.grad_norm_bound * (1.0 + 1e-9):
+        sq = np.einsum("...d,...d->...", grads, grads)
+        worst_sq = float(sq.max()) if sq.size else 0.0
+        if not worst_sq <= (self.grad_norm_bound * (1.0 + 1e-9)) ** 2:
             raise GradientBoundError(
-                f"{self.name}: gradient norm {worst:.6g} exceeds declared bound "
-                f"{self.grad_norm_bound:.6g}"
+                f"{self.name}: gradient norm {math.sqrt(worst_sq):.6g} exceeds declared "
+                f"bound {self.grad_norm_bound:.6g}"
             )
 
     # ------------------------------------------------------------------
@@ -201,13 +160,10 @@ class Objective:
         """Canonicalize a batch spec to None, an (m,) or an (N, m) int array."""
         if batch is None:
             return None
-        if isinstance(batch, MiniBatch):
-            arr = np.asarray(batch.indices, dtype=np.intp)
-        else:
-            arr = np.asarray(batch)
-            if arr.dtype.kind not in "iu":
-                raise ValueError("batch indices must be integers")
-            arr = arr.astype(np.intp, copy=False)
+        arr = np.asarray(batch)
+        if arr.dtype.kind not in "iu":
+            raise ValueError("batch indices must be integers")
+        arr = arr.astype(np.intp, copy=False)
         if arr.ndim not in (1, 2) or arr.shape[-1] == 0:
             raise ValueError(f"batch must be 1-d or 2-d and nonempty, got shape {arr.shape}")
         if arr.min() < 0 or arr.max() >= self.n_samples:
@@ -217,7 +173,7 @@ class Objective:
             )
         if arr.shape[-1] > 1:
             ordered = np.sort(arr, axis=-1)
-            if np.any(np.diff(ordered, axis=-1) == 0):
+            if (ordered[..., 1:] == ordered[..., :-1]).any():
                 raise ValueError("batch indices must be distinct")
         return arr
 
@@ -274,13 +230,7 @@ class QuadraticBowlObjective(Objective):
         corner_dev = np.maximum(np.abs(centers), np.abs(domain.sides - centers))
         per_sample = np.linalg.norm(corner_dev, axis=1)
         bound = float(np.max(per_sample))
-        center_norms = np.linalg.norm(centers, axis=1)
-        meta = ObjectiveMetadata(
-            lipschitz_c1=1.0,
-            grad_at_origin_b=float(np.max(center_norms)),
-            loss_at_origin_a=float(np.max(0.5 * center_norms**2)),
-        )
-        super().__init__(domain, n, bound, name, meta)
+        super().__init__(domain, n, bound, name, ObjectiveMetadata(lipschitz_c1=1.0))
         self.centers = centers
         self._sqnorms = np.einsum("nd,nd->n", centers, centers)
         self._zbar_full = centers.mean(axis=0)
@@ -345,11 +295,7 @@ class LinearRegressionObjective(Objective):
         resid_sup = np.maximum(np.abs(hi - y), np.abs(lo - y))
         x_norms = np.linalg.norm(X, axis=1)
         bound = float(np.max(resid_sup * x_norms))
-        meta = ObjectiveMetadata(
-            lipschitz_c1=float(np.max(x_norms**2)),
-            grad_at_origin_b=float(np.max(np.abs(y) * x_norms)),
-            loss_at_origin_a=float(np.max(0.5 * y**2)),
-        )
+        meta = ObjectiveMetadata(lipschitz_c1=float(np.max(x_norms**2)))
         super().__init__(domain, n, bound, name, meta)
         self.features = X
         self.targets = y
@@ -472,18 +418,13 @@ def double_well_1d(side: float = 16.0, offset: float = 6.0) -> AnalyticObjective
 
     bound = _quartic_grad_sup(lo, hi)
     curv = max(abs(12.0 * x * x - 24.0 * x - 72.0) for x in (lo, hi))
-    meta = ObjectiveMetadata(
-        lipschitz_c1=curv,
-        grad_at_origin_b=abs(float(_quartic_grad(np.asarray(lo)))),
-        loss_at_origin_a=float(_quartic(np.asarray(lo))),
-    )
     return AnalyticObjective(
         fn,
         grad,
         domain,
         bound,
         "double_well_1d",
-        metadata=meta,
+        metadata=ObjectiveMetadata(lipschitz_c1=curv),
         global_minimum=[off + 6.0],
         local_minima=[[off - 3.0]],
         extra={"offset": off, "barrier": [off]},
@@ -522,19 +463,13 @@ def double_well_2d(
     y_max = max(off[1], domain.side_lengths[1] - off[1])
     bound = math.hypot(_quartic_grad_sup(lo, hi), 2.0 * y_max)
     curv = max(max(abs(12.0 * x * x - 24.0 * x - 72.0) for x in (lo, hi)), 2.0)
-    origin = np.array([0.0, 0.0])
-    meta = ObjectiveMetadata(
-        lipschitz_c1=curv,
-        grad_at_origin_b=float(np.linalg.norm(grad(origin))),
-        loss_at_origin_a=float(fn(origin)),
-    )
     return AnalyticObjective(
         fn,
         grad,
         domain,
         bound,
         "double_well_2d",
-        metadata=meta,
+        metadata=ObjectiveMetadata(lipschitz_c1=curv),
         global_minimum=off + [6.0, 0.0],
         local_minima=[off + [-3.0, 0.0]],
         extra={"offset": off.tolist(), "saddle": off.tolist()},

@@ -1,4 +1,5 @@
-"""SGD whose learning rate is an exponential draw shaped by the loss geometry.
+"""SGD whose learning rate is an exponential draw shaped by the loss geometry,
+and the lock-step chain loop it shares with the bouncy particle sampler.
 
 Each step draws a mini-batch, then a radius eta from the inhomogeneous
 exponential law with rate ``beta * <grad(theta + r v), v>_+ + 1/epsilon``
@@ -8,10 +9,13 @@ of the rate is always ``1/epsilon``; the rate grows where the loss increases
 along v, so uphill moves are cut short while downhill and flat stretches get
 long strides.
 
-Two execution paths produce the same law: a readable single-chain loop
-(``poisson_sgd_step`` / ``run_poisson_sgd``) and a lock-step vectorized
-ensemble (``run_poisson_sgd_ensemble``) that advances many independent
-chains per numpy call for distribution-level experiments.
+Both chains of the package take this piecewise-deterministic step and differ
+only in how the velocity turns after the move, so one loop (``_run_chains``)
+advances N independent chains of either kind per numpy call. The optimizer
+passes ``reflect`` as the turn; :mod:`poisson_sgd.bps` passes its
+reflect-or-refresh choice. ``run_poisson_sgd_ensemble`` returns endpoint
+clouds, optionally with step records of selected chains, and
+``run_poisson_sgd`` is the one-chain case that returns that chain's record.
 """
 
 from __future__ import annotations
@@ -19,20 +23,17 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .domain import TorusDomain
-from .objectives import Objective, sample_minibatch
+from .objectives import Objective
 from .records import RunRecord
-from .sampler import RayRate, RngStream, sample_ray_exponential, thin_first_arrivals, uniform_sphere
+from .sampler import RngStream, thin_first_arrivals, uniform_sphere
 
 __all__ = [
     "reflect",
     "PoissonSgdConfig",
-    "OptimizerState",
-    "poisson_sgd_step",
     "run_poisson_sgd",
     "EnsembleResult",
     "run_poisson_sgd_ensemble",
@@ -117,45 +118,6 @@ class PoissonSgdConfig:
         }
 
 
-@dataclass
-class OptimizerState:
-    theta: np.ndarray
-    velocity: np.ndarray
-    k: int
-    rng: RngStream
-    max_norm_deviation: float = 0.0
-    # per-step diagnostics, refreshed by the step functions
-    last_eta: float | None = None
-    last_batch: object = None
-    last_grad_norm: float | None = None
-    last_event: str | None = None
-    last_p_reflect: float | None = None
-
-    def renormalize(self) -> None:
-        """Track worst pre-correction |norm - 1|, then snap back to the sphere."""
-        norm = float(np.linalg.norm(self.velocity))
-        self.max_norm_deviation = max(self.max_norm_deviation, abs(norm - 1.0))
-        self.velocity = self.velocity / norm
-
-
-def _initial_state(objective: Objective, initial_point, initial_velocity, seed: int) -> OptimizerState:
-    domain = objective.domain
-    rng = RngStream(int(seed))
-    if initial_point is None:
-        theta = domain.sample_uniform(rng.generator)
-    else:
-        theta = domain.wrap(np.asarray(initial_point, dtype=float))
-    if initial_velocity is None:
-        velocity = uniform_sphere(domain.dim, rng)
-    else:
-        velocity = np.asarray(initial_velocity, dtype=float)
-        norm = np.linalg.norm(velocity)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError("initial_velocity must be a unit vector")
-        velocity = velocity / norm
-    return OptimizerState(theta=theta, velocity=velocity, k=0, rng=rng)
-
-
 def _resolve_batch_size(objective: Objective, batch_size: int) -> int:
     n = objective.n_samples
     m = n if batch_size == 0 else batch_size
@@ -164,85 +126,18 @@ def _resolve_batch_size(objective: Objective, batch_size: int) -> int:
     return m
 
 
-def poisson_sgd_step(
-    state: OptimizerState, objective: Objective, cfg: PoissonSgdConfig
-) -> OptimizerState:
-    """Advance one step in place; returns the state for chaining.
-
-    Order matters: eta is drawn from the rate field based at the OLD point
-    along the OLD velocity, the position moves, and the reflection gradient
-    is evaluated at the NEW point with the SAME mini-batch.
-    """
-    domain = objective.domain
-    m = _resolve_batch_size(objective, cfg.batch_size)
-    batch = None if m == objective.n_samples else sample_minibatch(objective.n_samples, m, state.rng)
-    grad_field = objective.grad_field(batch)
-
-    base, direction = state.theta.copy(), state.velocity.copy()
-    ray = RayRate(
-        base_point=base,
-        direction=direction,
-        beta=cfg.beta,
-        constant_floor=cfg.c_p,
-        grad_field=grad_field,
-        grad_norm_bound=objective.grad_norm_bound,
-        wrap=domain.wrap,
-        seam_radii=lambda length: domain.ray_seam_radii(base, direction, length),
-    )
-    eta = sample_ray_exponential(ray, state.rng)
-
-    state.theta = domain.wrap(state.theta + eta * state.velocity)
-    grad_new = np.asarray(grad_field(state.theta), dtype=float)
-    objective.check_grad_norms(grad_new)
-    state.velocity = reflect(state.velocity, grad_new)
-    state.renormalize()
-    state.k += 1
-    state.last_eta = eta
-    state.last_batch = batch
-    state.last_grad_norm = float(np.linalg.norm(grad_new))
-    return state
-
-
-def run_poisson_sgd(objective: Objective, cfg: PoissonSgdConfig) -> RunRecord:
-    """Run K sequential steps and return the stride-thinned record.
-
-    The record keeps steps with ``k % record_stride == 0`` plus step K, so
-    ``record_stride = 1`` retains every step and replaying the same config
-    byte-reproduces the file.
-    """
-    started = time.perf_counter()
-    state = _initial_state(objective, cfg.initial_point, cfg.initial_velocity, cfg.seed)
-    record = RunRecord(kind="poisson_sgd", config=cfg.to_dict(), stride=cfg.record_stride)
-    if cfg.n_steps == 0:
-        record.append(0, state.theta, state.velocity, force=True)
-    for k in range(1, cfg.n_steps + 1):
-        poisson_sgd_step(state, objective, cfg)
-        extras = {"grad_norm": state.last_grad_norm}
-        if state.last_batch is not None:
-            extras["batch"] = list(state.last_batch.indices)
-        if cfg.record_risk and (k % cfg.record_stride == 0 or k == cfg.n_steps):
-            extras["risk"] = float(objective.empirical_risk(state.theta))
-        record.append(
-            k,
-            state.theta,
-            state.velocity,
-            eta=state.last_eta,
-            force=(k == cfg.n_steps),
-            **extras,
-        )
-    record.wall_time_s = time.perf_counter() - started
-    record.max_norm_deviation = state.max_norm_deviation
-    return record
-
-
 # ----------------------------------------------------------------------
-# lock-step ensembles
+# the lock-step chain loop
 # ----------------------------------------------------------------------
 
 
 @dataclass
 class EnsembleResult:
-    """Endpoint ensemble of N independent chains advanced in lock step."""
+    """Endpoint ensemble of N independent chains advanced in lock step.
+
+    ``records`` holds the step records of the chains named in
+    ``record_chains``, in that order.
+    """
 
     thetas: np.ndarray
     velocities: np.ndarray
@@ -251,6 +146,7 @@ class EnsembleResult:
     mean_eta: float
     snapshots: dict[int, np.ndarray] = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
+    records: list[RunRecord] = field(default_factory=list)
 
 
 def _sample_batches(gen: np.random.Generator, n_chains: int, n: int, m: int) -> np.ndarray:
@@ -264,28 +160,56 @@ def _sample_batches(gen: np.random.Generator, n_chains: int, n: int, m: int) -> 
     return np.sort(idx, axis=1)
 
 
-def run_poisson_sgd_ensemble(
+# A velocity turn maps (velocities (N, d), gradients at the new points (N, d))
+# to the turned velocities and either None or ``tags(i)``, the extra record
+# fields of chain i for this step; tags are built only on recorded steps.
+Turn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, Callable[[int], dict] | None]]
+
+
+def _reflect_turn(vels: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, None]:
+    return reflect(vels, grads), None
+
+
+def _run_chains(
     objective: Objective,
-    cfg: PoissonSgdConfig,
+    cfg,
     n_chains: int,
-    rng: RngStream | None = None,
-    initial_points: np.ndarray | None = None,
-    initial_velocities: np.ndarray | None = None,
-    snapshot_steps: Sequence[int] = (),
+    rng: RngStream,
+    initial_points: np.ndarray | None,
+    initial_velocities: np.ndarray | None,
+    snapshot_steps: Sequence[int],
+    record_chains: Sequence[int],
+    *,
+    turn: Turn,
+    floor: float,
+    batch_size: int,
+    kind: str,
+    record_risk: bool,
 ) -> EnsembleResult:
     """Advance ``n_chains`` independent chains in lock step.
 
+    ``cfg`` supplies ``beta``, ``n_steps``, ``ceiling``, ``record_stride``
+    and the record header (``to_dict``); ``floor`` is the constant part of
+    the event rate. ``turn`` is the only step that differs between the
+    optimizer and the sampler.
+
     Each chain carries its own mini-batch sequence and its own event draws;
-    all randomness comes from one stream, consumed blockwise, which keeps the
+    all randomness comes from ``rng``, consumed blockwise, which keeps the
     whole ensemble reproducible from a single seed. Initial points default to
     uniform on the domain, velocities to uniform on the sphere.
+
+    Chains in ``record_chains`` get a ``RunRecord`` of kind ``kind`` holding
+    the steps with ``k % record_stride == 0`` plus step K (step 0 alone when
+    K = 0). Each row carries ``eta`` and ``grad_norm``, the mini-batch when
+    batches are drawn, ``risk`` when ``record_risk``, and the turn's tags.
+    A record's ``max_norm_deviation`` is the whole ensemble's.
     """
+    started = time.perf_counter()
     domain = objective.domain
     d = domain.dim
     N = int(n_chains)
     if N < 1:
         raise ValueError("n_chains must be >= 1")
-    rng = RngStream(cfg.seed) if rng is None else rng
     gen = rng.generator
 
     if initial_points is None:
@@ -305,16 +229,23 @@ def run_poisson_sgd_ensemble(
             raise ValueError("initial_velocities must be unit vectors")
         vels = vels / norms[:, None]
 
-    m = _resolve_batch_size(objective, cfg.batch_size)
+    m = _resolve_batch_size(objective, batch_size)
     per_chain_batches = m < objective.n_samples
     full_field = objective.grad_field(None)
 
-    floor = cfg.c_p
     ceiling = cfg.ceiling(objective.grad_norm_bound)
     wanted = {int(s) for s in snapshot_steps}
     snapshots: dict[int, np.ndarray] = {}
     if 0 in wanted:
         snapshots[0] = thetas.copy()
+
+    recorded = [int(i) for i in record_chains]
+    if any(not 0 <= i < N for i in recorded):
+        raise ValueError(f"record_chains must lie in [0, {N}), got {recorded}")
+    records = [RunRecord(kind=kind, config=cfg.to_dict(), stride=cfg.record_stride) for _ in recorded]
+    if cfg.n_steps == 0:
+        for rec, i in zip(records, recorded):
+            rec.append(0, thetas[i], vels[i], force=True)
 
     max_dev = 0.0
     eta_sum = 0.0
@@ -341,13 +272,27 @@ def run_poisson_sgd_ensemble(
 
         thetas = domain.wrap(thetas + etas[:, None] * vels)
         grads = np.asarray(fld(thetas, rows=None), dtype=float)
-        vels = reflect(vels, grads)
+        objective.check_grad_norms(grads)
+        vels, tags = turn(vels, grads)
         norms = np.linalg.norm(vels, axis=1)
         max_dev = max(max_dev, float(np.max(np.abs(norms - 1.0))))
         vels = vels / norms[:, None]
         if k in wanted:
             snapshots[k] = thetas.copy()
+        if records and (k % cfg.record_stride == 0 or k == cfg.n_steps):
+            for rec, i in zip(records, recorded):
+                row = {"grad_norm": float(np.linalg.norm(grads[i]))}
+                if per_chain_batches:
+                    row["batch"] = idx[i].tolist()
+                if record_risk:
+                    row["risk"] = float(objective.empirical_risk(thetas[i]))
+                if tags is not None:
+                    row.update(tags(i))
+                rec.append(k, thetas[i], vels[i], eta=etas[i], force=True, **row)
 
+    for rec in records:
+        rec.wall_time_s = time.perf_counter() - started
+        rec.max_norm_deviation = max_dev
     return EnsembleResult(
         thetas=thetas,
         velocities=vels,
@@ -355,4 +300,75 @@ def run_poisson_sgd_ensemble(
         max_norm_deviation=max_dev,
         mean_eta=eta_sum / max(1, cfg.n_steps * N),
         snapshots=snapshots,
+        records=records,
     )
+
+
+def _initial_rows(cfg) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """A config's optional start point and velocity as one-chain arrays."""
+    point, velocity = cfg.initial_point, cfg.initial_velocity
+    return (
+        None if point is None else np.array([point], dtype=float),
+        None if velocity is None else np.array([velocity], dtype=float),
+    )
+
+
+def run_poisson_sgd_ensemble(
+    objective: Objective,
+    cfg: PoissonSgdConfig,
+    n_chains: int,
+    rng: RngStream | None = None,
+    initial_points: np.ndarray | None = None,
+    initial_velocities: np.ndarray | None = None,
+    snapshot_steps: Sequence[int] = (),
+    record_chains: Sequence[int] = (),
+) -> EnsembleResult:
+    """Advance ``n_chains`` independent optimizer chains in lock step.
+
+    ``rng`` defaults to ``RngStream(cfg.seed)``. The chains listed in
+    ``record_chains`` are recorded every ``cfg.record_stride`` steps into
+    ``result.records``.
+    """
+    return _run_chains(
+        objective,
+        cfg,
+        n_chains,
+        RngStream(cfg.seed) if rng is None else rng,
+        initial_points,
+        initial_velocities,
+        snapshot_steps,
+        record_chains,
+        turn=_reflect_turn,
+        floor=cfg.c_p,
+        batch_size=cfg.batch_size,
+        kind="poisson_sgd",
+        record_risk=cfg.record_risk,
+    )
+
+
+def run_poisson_sgd(objective: Objective, cfg: PoissonSgdConfig) -> RunRecord:
+    """Run one chain for K steps and return its stride-thinned record.
+
+    The chain is chain 0 of the one-chain ensemble seeded by ``cfg.seed``,
+    started at ``cfg.initial_point`` / ``cfg.initial_velocity`` when given.
+    The record keeps steps with ``k % record_stride == 0`` plus step K, so
+    ``record_stride = 1`` retains every step and replaying the same config
+    byte-reproduces the file.
+    """
+    points, velocities = _initial_rows(cfg)
+    result = _run_chains(
+        objective,
+        cfg,
+        1,
+        RngStream(cfg.seed),
+        points,
+        velocities,
+        (),
+        (0,),
+        turn=_reflect_turn,
+        floor=cfg.c_p,
+        batch_size=cfg.batch_size,
+        kind="poisson_sgd",
+        record_risk=cfg.record_risk,
+    )
+    return result.records[0]

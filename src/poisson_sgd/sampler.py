@@ -46,11 +46,8 @@ class RngStream:
 
     seed: int
     spawn_key: tuple[int, ...] = ()
-    algorithm: str = "pcg64"
 
     def __post_init__(self) -> None:
-        if self.algorithm != "pcg64":
-            raise ValueError(f"unsupported rng algorithm {self.algorithm!r}")
         self.seed = int(self.seed)
         self.spawn_key = tuple(int(k) for k in self.spawn_key)
         seq = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
@@ -66,13 +63,6 @@ class RngStream:
         kids = [self.child(self._spawned + i) for i in range(int(n))]
         self._spawned += int(n)
         return kids
-
-    def describe(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "seed": self.seed,
-            "spawn_key": list(self.spawn_key),
-        }
 
 
 def as_generator(rng) -> np.random.Generator:

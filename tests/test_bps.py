@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from poisson_sgd.bps import BpsConfig, bps_step, coupled_compare, run_bps, run_bps_ensemble
+from poisson_sgd.bps import BpsConfig, coupled_compare, run_bps, run_bps_ensemble
 from poisson_sgd.objectives import double_well_1d, double_well_2d, quadratic_bowl
-from poisson_sgd.optimizer import _initial_state
 from poisson_sgd.sampler import RngStream
 
 
@@ -52,15 +51,22 @@ def test_validate_coupling_rejects_mismatch():
 
 def test_step_reflect_probability_uses_new_point_and_old_velocity():
     obj = quadratic_bowl([[2.0, 7.0]], side_lengths=10.0)
-    cfg = BpsConfig(beta=0.7, lambda_ref=1.0, c_b=0.4, n_steps=1, seed=21)
-    state = _initial_state(obj, cfg.initial_point, cfg.initial_velocity, cfg.seed)
-    v0 = state.velocity.copy()
-    bps_step(state, obj, cfg)
-    grad_new = obj.grad_field(None)(state.theta)
+    v0 = np.array([0.6, -0.8])
+    cfg = BpsConfig(
+        beta=0.7,
+        lambda_ref=1.0,
+        c_b=0.4,
+        n_steps=1,
+        seed=21,
+        initial_point=(4.0, 8.5),
+        initial_velocity=v0,
+    )
+    row = run_bps(obj, cfg).rows[0]
+    grad_new = obj.grad_field(None)(np.array(row["theta"]))
     lam = cfg.beta * max(float(grad_new @ v0), 0.0)
     expected = (lam + cfg.c_b) / (lam + cfg.lambda_ref + cfg.c_b)
-    assert state.last_p_reflect == pytest.approx(expected, abs=1e-12)
-    assert state.last_event in ("reflect", "refresh")
+    assert row["p_reflect"] == pytest.approx(expected, abs=1e-12)
+    assert row["event"] in ("reflect", "refresh")
     # 1.5 / 2.5 spot value for the same formula
     assert (1.5 + 0.0) / (1.5 + 1.0 + 0.0) == pytest.approx(0.6)
 
@@ -105,7 +111,7 @@ def test_zero_steps_records_initial_state():
     cfg = BpsConfig(beta=0.01, lambda_ref=1.0, c_b=0.0, n_steps=0, seed=3)
     rec = run_bps(obj, cfg)
     assert rec.column("k").tolist() == [0]
-    assert np.allclose(rec.final_theta(), _initial_state(obj, None, None, 3).theta)
+    assert np.allclose(rec.final_theta(), obj.domain.sample_uniform(RngStream(3).generator))
 
 
 def test_ensemble_snapshots_and_replay():
@@ -163,3 +169,14 @@ def test_coupled_compare_shrinks_as_epsilon_shrinks():
     loose = coupled_compare(obj, beta=0.05, epsilon=1.0, n_steps=40, trials=300, seed=7)
     tight = coupled_compare(obj, beta=0.05, epsilon=0.05, n_steps=40, trials=300, seed=7)
     assert tight.sliced_w1 < loose.sliced_w1
+
+
+def test_single_chain_is_chain_zero_of_one_chain_ensemble():
+    obj = double_well_2d()
+    cfg = BpsConfig(beta=0.002, lambda_ref=1.0, c_b=0.5, n_steps=60, seed=4, record_stride=9)
+    rec = run_bps(obj, cfg)
+    ens = run_bps_ensemble(obj, cfg, 1, rng=RngStream(cfg.seed))
+    assert np.array_equal(rec.final_theta(), ens.thetas[0])
+    assert np.array_equal(rec.rows[-1]["v"], ens.velocities[0])
+    assert rec.column("k").tolist() == [9, 18, 27, 36, 45, 54, 60]
+

@@ -93,7 +93,29 @@ def test_config_validation():
         ExperimentConfig(kind="nope", objective=DW1, trials=1, seed=0)
     with pytest.raises(ValueError):
         ExperimentConfig(kind="escape", objective=DW1, trials=0, seed=0)
+    for kind in ("escape", "coupling", "stationarity"):
+        ExperimentConfig(kind=kind, objective=DW1, trials=1, seed=0)
     assert set(TINY_CONFIGS) == set(EXPERIMENT_KINDS)
+
+
+def test_unknown_protocol_keys_are_refused(tmp_path, capsys):
+    spec = {**TINY_CONFIGS["beta_sweep"].to_dict(), "protocol": {"n_steps": 5, "epsilonn": 9}}
+    with pytest.raises(ValueError, match="epsilonn"):
+        ExperimentConfig.from_dict(spec)
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(spec))
+    out = tmp_path / "run"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 2
+    assert "epsilonn" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["beta_sweep", "baseline", "generalization"])
+def test_single_trial_refused_where_the_summary_needs_a_spread(kind):
+    spec = {**TINY_CONFIGS[kind].to_dict(), "trials": 1}
+    with pytest.raises(ValueError, match="trials >= 2"):
+        ExperimentConfig.from_dict(spec)
 
 
 @pytest.mark.parametrize("kind", sorted(EXPERIMENT_KINDS))
@@ -176,6 +198,17 @@ def test_escape_summary_shape(tmp_path):
         assert 0.0 <= row["fraction_global"] <= 1.0
     assert (tmp_path / "trajectory_0.csv").exists()
     assert (tmp_path / "trajectory_0.ndjson").exists()
+
+
+def test_escape_trajectories_are_scored_chains(tmp_path):
+    cfg = TINY_CONFIGS["escape"]
+    run_experiment(cfg, tmp_path)
+    endpoints = np.load(tmp_path / "endpoints_poisson_sgd.npy")
+    for i in range(cfg.protocol["n_trajectories"]):
+        lines = (tmp_path / f"trajectory_{i}.ndjson").read_text().splitlines()
+        last = json.loads(lines[-1])
+        assert last["k"] == cfg.protocol["n_steps"]
+        assert np.array_equal(last["theta"], endpoints[i])
 
 
 def test_holdout_dataset_is_a_split_of_one_draw():

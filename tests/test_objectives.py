@@ -6,15 +6,14 @@ from poisson_sgd.objectives import (
     BUILTIN_OBJECTIVES,
     GradientBoundError,
     LinearRegressionObjective,
-    MiniBatch,
     build_objective,
     check_gradient,
     double_well_1d,
     double_well_2d,
     linreg_synthetic,
     quadratic_bowl,
-    sample_minibatch,
 )
+from poisson_sgd.optimizer import _sample_batches
 from poisson_sgd.sampler import RngStream
 
 
@@ -82,23 +81,23 @@ def test_gradients_match_finite_differences():
 
 
 def test_minibatch_mechanics():
-    batch = MiniBatch([3, 1, 2])
-    assert batch.indices == (1, 2, 3)
+    obj = quadratic_bowl(np.arange(6, dtype=float).reshape(3, 2), side_lengths=10.0)
+    with pytest.raises(ValueError, match="distinct"):
+        obj.resolve_batch([1, 1, 2])
     with pytest.raises(ValueError):
-        MiniBatch([1, 1, 2])
-    with pytest.raises(ValueError):
-        MiniBatch([])
+        obj.resolve_batch([])
 
-    rng = RngStream(0)
+    gen = RngStream(0).generator
     n, m = 20, 5
-    counts = np.zeros(n)
-    for _ in range(400):
-        b = sample_minibatch(n, m, rng)
-        assert len(b.indices) == m
-        counts[list(b.indices)] += 1
+    batches = _sample_batches(gen, 400, n, m)
+    assert batches.shape == (400, m)
+    assert np.all(np.diff(batches, axis=1) > 0)  # sorted and distinct
+    counts = np.bincount(batches.ravel(), minlength=n)
     # each index appears with frequency m/n = 0.25 up to noise
     freq = counts / 400
     assert np.all(np.abs(freq - 0.25) < 5 * np.sqrt(0.25 * 0.75 / 400))
+    # m = n is the full index set in canonical order
+    assert np.array_equal(_sample_batches(gen, 3, n, n), np.tile(np.arange(n), (3, 1)))
 
 
 def test_quadratic_bowl_closed_forms_match_bruteforce():
@@ -200,5 +199,3 @@ def test_metadata_fields():
     for obj in (double_well_1d(), double_well_2d()):
         meta = obj.metadata
         assert meta.lipschitz_c1 > 0
-        assert meta.grad_at_origin_b >= 0
-        assert np.isfinite(meta.loss_at_origin_a)

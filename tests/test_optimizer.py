@@ -2,14 +2,20 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from poisson_sgd.objectives import double_well_1d, double_well_2d, quadratic_bowl
+from poisson_sgd.bps import BpsConfig, run_bps_ensemble
+from poisson_sgd.domain import TorusDomain
+from poisson_sgd.objectives import (
+    AnalyticObjective,
+    GradientBoundError,
+    double_well_1d,
+    double_well_2d,
+    quadratic_bowl,
+)
 from poisson_sgd.optimizer import (
     PoissonSgdConfig,
-    poisson_sgd_step,
     reflect,
     run_poisson_sgd,
     run_poisson_sgd_ensemble,
-    _initial_state,
 )
 from poisson_sgd.sampler import RngStream, uniform_sphere
 
@@ -73,16 +79,17 @@ def test_single_step_order_of_operations():
     # with beta=0 the step length is independent of the field, so the new
     # point is exactly wrap(theta + eta * v) with the OLD velocity
     obj = quadratic_bowl([[2.0, 7.0]], side_lengths=10.0)
-    cfg = PoissonSgdConfig(beta=0.0, epsilon=0.5, n_steps=1, seed=9)
-    state = _initial_state(obj, cfg.initial_point, cfg.initial_velocity, cfg.seed)
-    theta0 = state.theta.copy()
-    v0 = state.velocity.copy()
-    poisson_sgd_step(state, obj, cfg)
-    expect = obj.domain.wrap(theta0 + state.last_eta * v0)
-    assert np.allclose(state.theta, expect)
+    theta0, v0 = np.array([9.5, 3.0]), np.array([0.6, 0.8])
+    cfg = PoissonSgdConfig(
+        beta=0.0, epsilon=0.5, n_steps=1, seed=9, initial_point=theta0, initial_velocity=v0
+    )
+    row = run_poisson_sgd(obj, cfg).rows[0]
+    theta1 = np.array(row["theta"])
+    expect = obj.domain.wrap(theta0 + row["eta"] * v0)
+    assert np.allclose(theta1, expect)
     # velocity reflected about the gradient at the NEW point
-    g = obj.grad(state.theta)
-    assert np.allclose(state.velocity, reflect(v0, g))
+    g = obj.grad(theta1)
+    assert np.allclose(row["v"], reflect(v0, g))
 
 
 def test_run_keeps_stride_and_final(tmp_path):
@@ -99,7 +106,7 @@ def test_run_keeps_stride_and_final(tmp_path):
     cfg0 = PoissonSgdConfig(beta=0.01, epsilon=0.5, n_steps=0, seed=3)
     rec0 = run_poisson_sgd(obj, cfg0)
     assert rec0.column("k").tolist() == [0]
-    assert np.allclose(rec0.final_theta(), _initial_state(obj, None, None, 3).theta)
+    assert np.allclose(rec0.final_theta(), obj.domain.sample_uniform(RngStream(3).generator))
 
 
 def test_replay_byte_identical(tmp_path):
@@ -178,3 +185,46 @@ def test_mean_eta_bounded_by_inverse_floor():
     n_draws = 200 * 50
     se = (1.0 / cfg.c_p) / np.sqrt(n_draws)
     assert res.mean_eta <= 1.0 / cfg.c_p + 3 * se
+
+
+@pytest.mark.parametrize("batch_size", [0, 3])
+def test_single_chain_is_chain_zero_of_one_chain_ensemble(batch_size):
+    obj = quadratic_bowl(np.arange(10, dtype=float).reshape(5, 2), side_lengths=25.0)
+    cfg = PoissonSgdConfig(beta=0.05, epsilon=0.5, n_steps=40, seed=6, batch_size=batch_size)
+    rec = run_poisson_sgd(obj, cfg)
+    ens = run_poisson_sgd_ensemble(obj, cfg, 1, rng=RngStream(cfg.seed))
+    assert np.array_equal(rec.final_theta(), ens.thetas[0])
+    assert np.array_equal(rec.rows[-1]["v"], ens.velocities[0])
+    assert rec.max_norm_deviation == ens.max_norm_deviation
+
+
+def test_recorded_chains_match_the_ensemble_they_ride_in():
+    obj = double_well_2d()
+    cfg = PoissonSgdConfig(beta=0.01, epsilon=0.1, n_steps=30, seed=4, record_stride=7)
+    plain = run_poisson_sgd_ensemble(obj, cfg, 6, rng=RngStream(4))
+    traced = run_poisson_sgd_ensemble(obj, cfg, 6, rng=RngStream(4), record_chains=[4, 1])
+    # recording consumes no randomness
+    assert np.array_equal(plain.thetas, traced.thetas)
+    assert plain.records == []
+    assert [len(r) for r in traced.records] == [5, 5]
+    for rec, i in zip(traced.records, (4, 1)):
+        assert rec.column("k").tolist() == [7, 14, 21, 28, 30]
+        assert np.array_equal(rec.final_theta(), traced.thetas[i])
+    with pytest.raises(ValueError, match="record_chains"):
+        run_poisson_sgd_ensemble(obj, cfg, 6, rng=RngStream(4), record_chains=[6])
+
+
+def test_ensembles_check_reflection_gradients_against_the_bound():
+    # declares ||grad|| <= 1, but the gradient is 1000 * theta on [0, 2); at
+    # beta = 0 no rate is evaluated, so only the reflection gradients can tell
+    obj = AnalyticObjective(
+        lambda t: 500.0 * t[..., 0] ** 2,
+        lambda t: 1000.0 * t,
+        TorusDomain(1, 2.0),
+        grad_norm_bound=1.0,
+        name="false_bound",
+    )
+    with pytest.raises(GradientBoundError, match="false_bound"):
+        run_poisson_sgd_ensemble(obj, PoissonSgdConfig(beta=0.0, epsilon=0.5, n_steps=5), 16)
+    with pytest.raises(GradientBoundError, match="false_bound"):
+        run_bps_ensemble(obj, BpsConfig(beta=0.0, lambda_ref=1.0, c_b=0.0, n_steps=5), 16)
