@@ -14,7 +14,6 @@ import numpy as np
 from . import __version__
 from .bps import BpsConfig, run_bps_ensemble
 from .experiments import (
-    EXPERIMENT_KINDS,
     ExperimentConfig,
     analyze_experiment,
     run_experiment,

@@ -10,6 +10,9 @@ import numpy as np
 
 __all__ = ["TorusDomain"]
 
+# inward margin of first_seam_radii, as a fraction of the side length
+SEAM_MARGIN = 1e-9
+
 
 @dataclass(frozen=True, init=False)
 class TorusDomain:
@@ -123,6 +126,22 @@ class TorusDomain:
             return np.empty(0)
         radii = np.unique(np.concatenate(crossings))
         return radii[(radii > 0.0) & (radii < length)]
+
+    def first_seam_radii(self, starts: np.ndarray, directions: np.ndarray) -> np.ndarray:
+        """Radii below which each ray ``start + r*direction`` stays in the box.
+
+        ``starts`` and ``directions`` are (N, dim) with starts inside the box.
+        The radius of each row is that of its first seam crossing, moved
+        inward so that the coordinates stay ``SEAM_MARGIN * side`` clear of
+        the seam, far more than floating-point rounding of ``start +
+        r*direction`` can cross; it is <= 0 where a start lies on that
+        margin and +inf for a zero direction.
+        """
+        sides = self.sides
+        room = np.where(directions > 0.0, sides - starts, starts) - SEAM_MARGIN * sides
+        speed = np.abs(directions)
+        radii = np.divide(room, speed, out=np.full(room.shape, np.inf), where=speed > 0.0)
+        return radii.min(axis=-1)
 
     def to_dict(self) -> dict:
         return {"dim": self.dim, "side_lengths": list(self.side_lengths)}

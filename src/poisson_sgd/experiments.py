@@ -33,7 +33,7 @@ from .domain import TorusDomain
 from .metrics import histogram_tv, ks_statistic, sliced_wasserstein1
 from .objectives import LinearRegressionObjective, Objective, build_objective
 from .optimizer import PoissonSgdConfig, _sample_batches, run_poisson_sgd, run_poisson_sgd_ensemble
-from .records import RunRecord, canonical_json
+from .records import canonical_json
 from .sampler import RngStream, uniform_sphere
 from .stationary import StationaryDensity, grid_mean_risk
 

@@ -45,7 +45,13 @@ class GradientBoundError(RuntimeError):
 @dataclass(frozen=True)
 class ObjectiveMetadata:
     """Optional smoothness constants: a Lipschitz constant of the per-sample
-    gradient over the box."""
+    gradient inside the box (seams aside).
+
+    When set, full-batch chains skip the rate evaluations that local bounds
+    built from it make unnecessary, without changing a draw; an evaluated
+    rate above such a bound raises ``RateBoundError``, so a false constant
+    aborts a run instead of biasing it. None evaluates every proposal.
+    """
 
     lipschitz_c1: float | None = None
 
@@ -53,6 +59,11 @@ class ObjectiveMetadata:
         value = self.lipschitz_c1
         if value is not None and not (math.isfinite(value) and value >= 0.0):
             raise ValueError(f"lipschitz_c1 must be finite and >= 0, got {value!r}")
+
+
+class _SampledBatches(np.ndarray):
+    """An (N, m) batch matrix drawn valid (rows of distinct in-range indices)
+    by the package's own sampler; ``resolve_batch`` trusts it unchecked."""
 
 
 class Objective:
@@ -160,6 +171,8 @@ class Objective:
         """Canonicalize a batch spec to None, an (m,) or an (N, m) int array."""
         if batch is None:
             return None
+        if type(batch) is _SampledBatches:
+            return batch.view(np.ndarray)
         arr = np.asarray(batch)
         if arr.dtype.kind not in "iu":
             raise ValueError("batch indices must be integers")

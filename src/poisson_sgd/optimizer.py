@@ -16,6 +16,13 @@ passes ``reflect`` as the turn; :mod:`poisson_sgd.bps` passes its
 reflect-or-refresh choice. ``run_poisson_sgd_ensemble`` returns endpoint
 clouds, optionally with step records of selected chains, and
 ``run_poisson_sgd`` is the one-chain case that returns that chain's record.
+
+With a full batch, an objective that declares a Lipschitz constant and a
+ceiling at least ``LOCAL_BOUND_MIN_SPREAD`` floors high, thinning skips
+the rate evaluation of proposals that a local bound already rejects, up to
+each ray's first seam (see :mod:`poisson_sgd.sampler`); the draws do not
+change. Each step after the first is anchored at the rate its reflection
+gradient already gives.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .objectives import Objective
+from .objectives import Objective, _SampledBatches
 from .records import RunRecord
 from .sampler import RngStream, thin_first_arrivals, uniform_sphere
 
@@ -40,6 +47,9 @@ __all__ = [
 ]
 
 ZERO_GRAD_TOL = 1e-12
+# smallest ceiling / floor at which chains thin against local bounds; below
+# it the rate evaluations they save cost less than their bookkeeping
+LOCAL_BOUND_MIN_SPREAD = 8.0
 
 
 def reflect(v, g, tol: float = ZERO_GRAD_TOL):
@@ -154,10 +164,12 @@ def _sample_batches(gen: np.random.Generator, n_chains: int, n: int, m: int) -> 
 
     The smallest m of n iid random keys per row form a uniform subset; sorting
     keeps index order canonical so full-batch and m = n paths agree exactly.
+    The rows are valid by construction, so the matrix is marked as
+    ``_SampledBatches`` and gradient fields skip re-checking it.
     """
     keys = gen.random((n_chains, n))
     idx = np.argpartition(keys, m - 1, axis=1)[:, :m] if m < n else np.tile(np.arange(n), (n_chains, 1))
-    return np.sort(idx, axis=1)
+    return np.sort(idx, axis=1).view(_SampledBatches)
 
 
 # A velocity turn maps (velocities (N, d), gradients at the new points (N, d))
@@ -234,6 +246,22 @@ def _run_chains(
     full_field = objective.grad_field(None)
 
     ceiling = cfg.ceiling(objective.grad_norm_bound)
+    # Local thinning bounds need a Lipschitz constant and pay off with a free
+    # anchor: the rate at r = 0 of the next step's rays, known from this
+    # step's reflection gradients because both use the full-batch field.
+    # Per-chain batches change the field every step, so they have no free
+    # anchor and evaluate every proposal. The bounds save evaluations only
+    # when most ceiling proposals are rejected, i.e. the ceiling is many
+    # floors high (never for coupled BPS, whose ceiling is below two floors).
+    lipschitz = objective.metadata.lipschitz_c1
+    local_bounds = (
+        lipschitz is not None
+        and cfg.beta > 0.0
+        and not per_chain_batches
+        and ceiling >= LOCAL_BOUND_MIN_SPREAD * floor
+    )
+    slope = cfg.beta * lipschitz if local_bounds else None
+    anchors = None
     wanted = {int(s) for s in snapshot_steps}
     snapshots: dict[int, np.ndarray] = {}
     if 0 in wanted:
@@ -267,7 +295,17 @@ def _run_chains(
                 proj = np.einsum("kbd,kd->kb", grads, vels[rows])
                 return cfg.beta * np.maximum(proj, 0.0) + floor
 
-            etas = thin_first_arrivals(rate_rows, N, floor, ceiling, rng)
+            seams = domain.first_seam_radii(thetas, vels) if local_bounds else None
+            etas = thin_first_arrivals(
+                rate_rows,
+                N,
+                floor,
+                ceiling,
+                rng,
+                slope=slope,
+                anchor_rates=anchors,
+                seam_radii=seams,
+            )
         eta_sum += float(etas.sum())
 
         thetas = domain.wrap(thetas + etas[:, None] * vels)
@@ -277,6 +315,8 @@ def _run_chains(
         norms = np.linalg.norm(vels, axis=1)
         max_dev = max(max_dev, float(np.max(np.abs(norms - 1.0))))
         vels = vels / norms[:, None]
+        if local_bounds:
+            anchors = floor + cfg.beta * np.maximum(np.einsum("nd,nd->n", grads, vels), 0.0)
         if k in wanted:
             snapshots[k] = thetas.copy()
         if records and (k % cfg.record_stride == 0 or k == cfg.n_steps):

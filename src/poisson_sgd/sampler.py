@@ -5,6 +5,24 @@ The event law shared by the optimizer and the sampler has survival function
 Two independent routes draw from it: Poisson thinning (primary; exact whenever
 the declared ceiling really dominates) and a tabulated inverse CDF built by
 quadrature (test oracle). They share no code beyond the rate callable.
+
+Thinning proposes at the global ceiling ``beta * M + C`` (``M`` bounds
+``||g||`` on the whole domain), which always dominates, and accepts a
+proposal when its uniform ``u`` gives ``u * ceiling < rate``. Most proposals
+need no rate evaluation: if ``g`` is ``L``-Lipschitz, the rate grows by at
+most ``beta * L`` per unit radius, so ``q_a + beta * L * (r - r_a)`` bounds
+it past any anchor radius ``r_a`` whose rate ``q_a`` is known, and a
+proposal with ``u * ceiling`` above that local bound is rejected unseen.
+The draws stay exactly those of the ceiling path; only the evaluations
+shrink. On the torus ``g`` jumps where the ray crosses a seam, so a local
+bound holds only up to the ray's first seam crossing
+(``TorusDomain.first_seam_radii``, moved inward by a margin that
+floating-point rounding cannot cross); past it every proposal is evaluated.
+A row that draws again re-anchors at its last evaluated proposal. The chain
+loop supplies the first anchor for free: with a full batch the rate at
+``r = 0`` follows from the gradient of the previous reflection, taken at the
+same point with the same field. Every evaluated rate is checked against its
+local bound, so a false ``L`` aborts the run (``RateBoundError``).
 """
 
 from __future__ import annotations
@@ -184,23 +202,49 @@ def thin_first_arrivals(
     rng: RngStream,
     block: int | None = None,
     max_proposals: int = 200_000_000,
+    *,
+    slope: float | None = None,
+    anchor_rates: np.ndarray | None = None,
+    seam_radii: np.ndarray | None = None,
 ) -> np.ndarray:
     """Vectorized exact first arrivals of inhomogeneous exponential laws.
 
-    Proposals come from the homogeneous Exp(ceiling) process and are accepted
-    with probability ``rate/ceiling``, which is the classic thinning
-    construction; the first accepted proposal has exactly the target law.
-    Termination is a.s. because acceptance probability >= floor/ceiling > 0.
+    Each round draws ``block`` proposals per ray from the homogeneous
+    Exp(ceiling) process and a uniform ``u`` per proposal; a proposal is
+    accepted when ``u * ceiling < rate``, and the first accepted one has
+    exactly the target law (classic thinning). Termination is a.s. because
+    acceptance probability >= floor/ceiling > 0.
+
+    With ``slope``, a proposal is evaluated only if ``u * ceiling`` lies
+    below its local bound ``q_a + slope * (r - r_a)``, where ``q_a`` is the
+    known rate at the row's anchor radius ``r_a``: the rate never exceeds
+    that bound, so no other proposal can be accepted (a squeeze). The draws
+    are therefore exactly those of the ceiling path on the same stream, at
+    a fraction of its rate evaluations. The bound holds while the rate is
+    ``slope``-Lipschitz in r, i.e. below the row's seam radius; past it, or
+    before a row has an anchor, every proposal is evaluated. A row that
+    draws again re-anchors at its last evaluated proposal before its seam.
+    Every evaluated rate is checked against its local bound as well as the
+    envelope, so a false ``slope`` raises ``RateBoundError``.
 
     Args:
         rate_rows: callback mapping (radii (k, B), rows (k,)) -> rates (k, B),
             where ``rows`` indexes which of the n rays each radii row belongs
-            to. Rates must respect the shared [floor, ceiling] envelope.
+            to (with a slope, rows may repeat and B is 1). Rates must respect
+            the shared [floor, ceiling] envelope.
         n: number of independent rays.
         floor, ceiling: shared positive rate envelope.
         rng: stream consumed by the draws.
         block: proposals drawn per ray per round; default sized so one round
             usually suffices.
+        slope: Lipschitz constant of every rate in r between seams. None
+            evaluates every proposal.
+        anchor_rates: (n,) rates at radius 0, which anchor each row's local
+            bound from the start; None leaves rows unanchored until they
+            draw again.
+        seam_radii: (n,) radii below which the rates are ``slope``-Lipschitz
+            (+inf when they never jump); a row at or past its seam has no
+            local bound. Required with ``slope``.
 
     Returns:
         (n,) array of arrival radii.
@@ -209,32 +253,92 @@ def thin_first_arrivals(
         raise ValueError("floor and ceiling must be positive and finite")
     if floor > ceiling * (1.0 + _RTOL):
         raise ValueError("floor exceeds ceiling")
+    if slope is None:
+        if anchor_rates is not None or seam_radii is not None:
+            raise ValueError("anchor_rates and seam_radii need a slope")
+    elif not (math.isfinite(slope) and slope >= 0.0) or seam_radii is None:
+        raise ValueError("slope must be finite and >= 0, with seam_radii")
     if block is None:
         block = int(min(max(math.ceil(1.3 * ceiling / floor) + 2, 4), 4096))
     gen = as_generator(rng)
     eta = np.full(n, np.nan)
     offsets = np.zeros(n)
     active = np.arange(n)
+    if slope is not None:
+        seams = np.asarray(seam_radii, dtype=float)
+        if seams.shape != (n,):
+            raise ValueError(f"seam_radii must have shape ({n},)")
+        # Row i's local bound at a radius r below seams[i] is
+        # margins[i] - tol + slope * r, where margins[i] = q_a - slope * r_a
+        # + tol from its anchor (r_a, q_a) and tol is the checks' rounding
+        # tolerance; margins[i] is +inf while the row has no anchor.
+        tol = _RTOL * ceiling + 1e-12
+        margins = np.full(n, np.inf)
+        if anchor_rates is not None:
+            anchor_q = np.asarray(anchor_rates, dtype=float)
+            if anchor_q.shape != (n,):
+                raise ValueError(f"anchor_rates must have shape ({n},)")
+            _check_rate_envelope(anchor_q, floor, ceiling)
+            margins = np.where(seams > 0.0, anchor_q + tol, np.inf)
     proposed = 0
     while active.size:
         k = active.size
         gaps = gen.exponential(1.0 / ceiling, size=(k, block))
         radii = offsets[active, None] + np.cumsum(gaps, axis=1)
-        rates = np.asarray(rate_rows(radii, active), dtype=float)
-        if rates.shape != radii.shape:
-            raise ValueError(f"rate_rows returned shape {rates.shape}, expected {radii.shape}")
-        _check_rate_envelope(rates, floor, ceiling)
-        accept = gen.random((k, block)) * ceiling < rates
-        hit = accept.any(axis=1)
-        first = accept.argmax(axis=1)
-        rows = active[hit]
-        eta[rows] = radii[hit, first[hit]]
+        if slope is None:
+            rates = _evaluate(rate_rows, radii, active)
+            _check_rate_envelope(rates, floor, ceiling)
+            accept = gen.random((k, block)) * ceiling < rates
+            hit = accept.any(axis=1)
+            first = accept.argmax(axis=1)
+            eta[active[hit]] = radii[hit, first[hit]]
+        else:
+            levels = gen.random((k, block)) * ceiling
+            # a proposal whose level reaches its row's local bound cannot be
+            # accepted, since the rate never exceeds that bound: only the
+            # others (and all those past the seam) are evaluated
+            row_seams = seams[active]
+            rows, cols = np.nonzero(
+                (levels - slope * radii < margins[active, None]) | (radii >= row_seams[:, None])
+            )
+            owners, r_eval = active[rows], radii[rows, cols]
+            rates = _evaluate(rate_rows, r_eval[:, None], owners)[:, 0] if rows.size else r_eval
+            _check_rate_envelope(rates, floor, ceiling)
+            excess = rates - slope * r_eval
+            bounded = r_eval < row_seams[rows]
+            _check_local_bound(rates, (excess >= margins[owners]) & bounded)
+            accept = np.zeros((k, block), dtype=bool)
+            accept[rows, cols] = levels[rows, cols] < rates
+            hit = accept.any(axis=1)
+            first = accept.argmax(axis=1)
+            eta[active[hit]] = radii[hit, first[hit]]
+            # each row re-anchors at its last evaluated proposal (np.nonzero
+            # lists them row by row, in radius order)
+            if rows.size:
+                last = np.append(np.flatnonzero(rows[1:] != rows[:-1]), rows.size - 1)
+                margins[owners[last]] = np.where(bounded[last], excess[last] + tol, np.inf)
         offsets[active[~hit]] = radii[~hit, -1]
         active = active[~hit]
         proposed += k * block
         if proposed > max_proposals:
             raise RateBoundError("thinning exceeded its proposal budget")
     return eta
+
+
+def _evaluate(rate_rows, radii: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    rates = np.asarray(rate_rows(radii, rows), dtype=float)
+    if rates.shape != radii.shape:
+        raise ValueError(f"rate_rows returned shape {rates.shape}, expected {radii.shape}")
+    return rates
+
+
+def _check_local_bound(rates: np.ndarray, over: np.ndarray) -> None:
+    if over.any():
+        i = int(over.argmax())
+        raise RateBoundError(
+            f"rate {rates[i]:.6g} exceeds its local bound: the declared Lipschitz "
+            "constant is false; aborting instead of drawing biased times"
+        )
 
 
 def sample_ray_exponential(rate: RayRate, rng: RngStream) -> float:

@@ -170,7 +170,10 @@ def test_criterion_03_learning_rate_law(criteria):
         if ks_vec[lam] >= 0.006:
             problems.append(f"vector KS(rate {lam}) {ks_vec[lam]:.4f}")
 
-    # (c) thinning vs inverse-CDF oracle on five rate fields
+    # (c) thinning vs inverse-CDF oracle on five rate fields, at the ceiling
+    # and against local bounds (Lipschitz slope up to the first seam)
+    # anchored at r = 0, plus a double_well_2d ray that crosses a seam; the
+    # local bounds only skip evaluations, so their draws equal the ceiling's
     ray = RayRate(
         base_point=base,
         direction=direction,
@@ -182,31 +185,97 @@ def test_criterion_03_learning_rate_law(criteria):
         seam_radii=lambda length: obj.domain.ray_seam_radii(base, direction, length),
     )
     horizon = -math.log(1e-13) / 0.8
+    dw = double_well_2d()
+    dw_base, dw_direction = np.array([39.6, 20.3]), np.array([0.8, 0.6])
+    dw_ray = RayRate(
+        base_point=dw_base,
+        direction=dw_direction,
+        beta=3e-5,
+        constant_floor=2.0,
+        grad_field=dw.grad_field(None),
+        grad_norm_bound=dw.grad_norm_bound,
+        wrap=dw.domain.wrap,
+        seam_radii=lambda length: dw.domain.ray_seam_radii(dw_base, dw_direction, length),
+    )
 
     def piecewise(t):
         t = np.asarray(t, dtype=float)
         return np.where(t < 0.7, 0.8, np.where(t < 1.5, 2.4, 1.1))
 
+    def first_seam(domain, start, heading):
+        return float(domain.first_seam_radii(start[None], heading[None])[0])
+
+    # name, rate, floor, ceiling, jump radii, Lipschitz slope, first jump
     fields = [
-        ("ramp", lambda t: 0.8 + 0.6 * (1.0 - np.exp(-np.asarray(t))), 0.8, 1.4, ()),
-        ("sin", lambda t: 1.0 + 0.5 * np.sin(2.2 * np.asarray(t) + 0.4), 0.5, 1.5, ()),
-        ("bump", lambda t: 0.9 + 1.8 * np.exp(-((np.asarray(t) - 1.2) ** 2) / 0.18), 0.9, 2.7, ()),
-        ("jumps", piecewise, 0.8, 2.4, (0.7, 1.5)),
-        ("ray", ray.rate, 0.8, ray.upper_bound, tuple(ray.seam_radii(horizon))),
+        ("ramp", lambda t: 0.8 + 0.6 * (1.0 - np.exp(-np.asarray(t))), 0.8, 1.4, (), 0.6, math.inf),
+        ("sin", lambda t: 1.0 + 0.5 * np.sin(2.2 * np.asarray(t) + 0.4), 0.5, 1.5, (), 1.1, math.inf),
+        ("bump", lambda t: 0.9 + 1.8 * np.exp(-((np.asarray(t) - 1.2) ** 2) / 0.18), 0.9, 2.7, (), 3.7, math.inf),
+        ("jumps", piecewise, 0.8, 2.4, (0.7, 1.5), 0.0, 0.7),
+        (
+            "ray",
+            ray.rate,
+            0.8,
+            ray.upper_bound,
+            tuple(ray.seam_radii(horizon)),
+            ray.beta * obj.metadata.lipschitz_c1,
+            first_seam(obj.domain, base, direction),
+        ),
+        (
+            "dw2d seam",
+            dw_ray.rate,
+            2.0,
+            dw_ray.upper_bound,
+            tuple(dw_ray.seam_radii(-math.log(1e-13) / 2.0)),
+            dw_ray.beta * dw.metadata.lipschitz_c1,
+            first_seam(dw.domain, dw_base, dw_direction),
+        ),
     ]
     w1s = {}
-    for i, (name, fn, floor, ceiling, breaks) in enumerate(fields):
+    skipped = 0
+    for i, (name, fn, floor, ceiling, breaks, slope, seam) in enumerate(fields):
         thin = thin_first_arrivals(
             lambda radii, rows: fn(radii), 100_000, floor, ceiling, RngStream(700 + i)
         )
         inv = RayCdfInverter(fn, floor, breakpoints=breaks)
         cloud = inv.ppf((np.arange(400_000) + 0.5) / 400_000)
         w1s[name] = wasserstein1_1d(thin, cloud)
-        if w1s[name] >= 1e-2:
-            problems.append(f"field {name} W1 {w1s[name]:.4f}")
+        evaluated = {"local": 0, "ceiling": 0}
+
+        def counted(radii, rows, fn=fn, key="local"):
+            evaluated[key] += radii.size
+            return fn(radii)
+
+        n = 100_000
+        local = thin_first_arrivals(
+            counted,
+            n,
+            floor,
+            ceiling,
+            RngStream(710 + i),
+            slope=slope,
+            anchor_rates=np.full(n, float(fn(np.zeros(1))[0])),
+            seam_radii=np.full(n, seam),
+        )
+        plain = thin_first_arrivals(
+            lambda radii, rows: counted(radii, rows, key="ceiling"),
+            n,
+            floor,
+            ceiling,
+            RngStream(710 + i),
+        )
+        if not np.array_equal(local, plain):
+            problems.append(f"field {name}: local-bound draws differ from the ceiling's")
+        skipped += evaluated["ceiling"] - evaluated["local"]
+        w1s[f"{name} local"] = wasserstein1_1d(local, cloud)
+        if name == "dw2d seam" and not 0.1 < np.mean(local > seam) < 0.9:
+            problems.append(f"dw2d ray crosses its seam in {np.mean(local > seam):.3f} of draws")
+    for name, w1 in w1s.items():
+        if w1 >= 1e-2:
+            problems.append(f"field {name} W1 {w1:.4f}")
+    if skipped <= 0:
+        problems.append("local bounds skipped no rate evaluation")
 
     # (d) mean step length bounded by the constant floor's inverse
-    dw = double_well_2d()
     cfg = PoissonSgdConfig(beta=0.01, epsilon=0.05, n_steps=2000, seed=31)
     res = run_poisson_sgd_ensemble(dw, cfg, 100, rng=RngStream(31))
     n_draws = 2000 * 100
@@ -221,13 +290,17 @@ def test_criterion_03_learning_rate_law(criteria):
         not problems and dt < 120,
         "; ".join(problems)
         or f"KS {max(ks_scalar, *ks_vec.values()):.4f} (limit 0.006), "
-        f"max field W1 {max(w1s.values()):.4f} (limit 0.01), "
+        f"max field W1 {max(w1s.values()):.4f} (limit 0.01) over {len(w1s)} ceiling and "
+        f"local-bound draws ({skipped} evaluations skipped), "
         f"mean eta {res.mean_eta:.5f} <= {1.0 / cfg.c_p:.3f}; {dt:.0f}s",
     )
 
 
-def test_criterion_04_sampler_stationarity_tv(criteria):
-    t0 = time.perf_counter()
+def sampler_stationarity_gate(n_chains: int = 100_000, seed: int = 41):
+    """Criterion 4's protocol and gate at a given size and seed.
+
+    Returns the gate's problems (empty when it passes) and the TV summary.
+    """
     problems = []
     details = []
     cases = [
@@ -248,10 +321,10 @@ def test_criterion_04_sampler_stationarity_tv(criteria):
             epsilon=1.0,
             grad_norm_bound=obj.grad_norm_bound,
             n_steps=K,
-            seed=41,
+            seed=seed,
         )
         res = run_bps_ensemble(
-            obj, cfg, 100_000, rng=RngStream(41), snapshot_steps=checkpoints
+            obj, cfg, n_chains, rng=RngStream(seed), snapshot_steps=checkpoints
         )
         tvs = [histogram_tv(res.snapshots[k], reference) for k in checkpoints]
         if tvs[-1] >= 0.05:
@@ -259,37 +332,52 @@ def test_criterion_04_sampler_stationarity_tv(criteria):
         if not all(a > b for a, b in zip(tvs, tvs[1:])):
             problems.append(f"{name}: TV not decreasing {[round(t, 4) for t in tvs]}")
         details.append(f"{name} TV {'->'.join(f'{t:.3f}' for t in tvs)}")
+    return problems, "; ".join(details)
+
+
+def test_criterion_04_sampler_stationarity_tv(criteria):
+    t0 = time.perf_counter()
+    problems, details = sampler_stationarity_gate()
     dt = time.perf_counter() - t0
     criteria.check(
         4,
         "sampler matches closed-form density (TV)",
         not problems and dt < 1800,
-        "; ".join(problems) or "; ".join(details) + f" (limit 0.05, 1e5 chains); {dt:.0f}s",
+        "; ".join(problems) or details + f" (limit 0.05, 1e5 chains); {dt:.0f}s",
     )
 
 
-def test_criterion_05_optimizer_stationarity_w1(criteria):
-    # Invariance protocol: chains start from the rejection oracle's own draws
-    # and must still match it after 1e6 steps. At epsilon = 1e-3 the motion
-    # is diffusive with effective time K*eps^2 = 1, far too short to mix from
-    # an arbitrary start, so staying at the target is the testable claim.
-    t0 = time.perf_counter()
+def optimizer_stationarity_gate(n_steps: int = 1_000_000, seed: int = 51):
+    """Criterion 5's protocol and gate; returns (passed, sliced W1, limit).
+
+    Invariance protocol: chains start from the rejection oracle's own draws
+    and must still match it after ``n_steps``. At epsilon = 1e-3 the motion
+    is diffusive with effective time K*eps^2 = 1 at K = 1e6, far too short
+    to mix from an arbitrary start, so staying at the target is the
+    testable claim.
+    """
     obj = double_well_1d()
-    beta, eps, K, n_chains = 0.003, 1e-3, 1_000_000, 512
+    beta, eps, n_chains = 0.003, 1e-3, 512
     density = StationaryDensity(obj, beta=beta, epsilon=eps)
-    oracle = density.sample(200_000, RngStream(51))
-    inits = density.sample(n_chains, RngStream(52))
-    cfg = PoissonSgdConfig(beta=beta, epsilon=eps, n_steps=K, batch_size=0, seed=53)
+    oracle = density.sample(200_000, RngStream(seed))
+    inits = density.sample(n_chains, RngStream(seed + 1))
+    cfg = PoissonSgdConfig(beta=beta, epsilon=eps, n_steps=n_steps, batch_size=0, seed=seed + 2)
     res = run_poisson_sgd_ensemble(
-        obj, cfg, n_chains, rng=RngStream(53), initial_points=inits
+        obj, cfg, n_chains, rng=RngStream(seed + 2), initial_points=inits
     )
     w1 = sliced_wasserstein1(res.thetas, oracle)
     limit = 0.1 * obj.domain.diameter()
+    return w1 < limit, w1, limit
+
+
+def test_criterion_05_optimizer_stationarity_w1(criteria):
+    t0 = time.perf_counter()
+    passed, w1, limit = optimizer_stationarity_gate()
     dt = time.perf_counter() - t0
     criteria.check(
         5,
         "optimizer matches rejection oracle (W1)",
-        w1 < limit and dt < 1800,
+        passed and dt < 1800,
         f"sliced W1 {w1:.3f} < {limit:.2f} after 1e6 steps at eps=1e-3; {dt:.0f}s",
     )
 
@@ -373,15 +461,17 @@ def test_criterion_07_rate_swap_wasserstein_bound(criteria):
     )
 
 
-def test_criterion_08_escape_from_local_basin(criteria, tmp_path):
-    # pre-registered from the pilot phase: beta 0.01, epsilon 0.05, K 80000,
-    # SGD rate 0.002, init jitter 0.1 around the local minimum
-    t0 = time.perf_counter()
+def escape_gate(out_dir, trials: int = 100, seed: int = 2026):
+    """Criterion 8's protocol and gate; returns (passed, basin fractions).
+
+    Pre-registered from the pilot phase: beta 0.01, epsilon 0.05, K 80000,
+    SGD rate 0.002, init jitter 0.1 around the local minimum.
+    """
     cfg = ExperimentConfig(
         kind="escape",
         objective={"name": "double_well_2d"},
-        trials=100,
-        seed=2026,
+        trials=trials,
+        seed=seed,
         protocol={
             "beta": 0.01,
             "epsilon": 0.05,
@@ -390,29 +480,35 @@ def test_criterion_08_escape_from_local_basin(criteria, tmp_path):
             "init_jitter": 0.1,
         },
     )
-    summary = run_experiment(cfg, tmp_path)
+    summary = run_experiment(cfg, out_dir)
     frac = {row["algorithm"]: row["fraction_global"] for row in summary["table"]}
+    return frac["sgd"] == 0.0 and frac["poisson_sgd"] >= 0.80, frac
+
+
+def test_criterion_08_escape_from_local_basin(criteria, tmp_path):
+    t0 = time.perf_counter()
+    passed, frac = escape_gate(tmp_path)
     dt = time.perf_counter() - t0
     criteria.check(
         8,
         "escape from the local basin",
-        frac["sgd"] == 0.0 and frac["poisson_sgd"] >= 0.80 and dt < 600,
+        passed and dt < 600,
         f"SGD {frac['sgd']:.2f}, Poisson SGD {frac['poisson_sgd']:.2f} of 100 seeds "
         f"(needs 0 and >= 0.80); {dt:.0f}s",
     )
 
 
-def test_criterion_09_risk_decreases_with_beta(criteria, tmp_path):
-    t0 = time.perf_counter()
+def beta_sweep_gate(out_dir, trials: int = 50, seed: int = 501):
+    """Criterion 9's protocol and gate; returns (problems, summary)."""
     problems = []
     cfg = ExperimentConfig(
         kind="beta_sweep",
         objective={"name": "double_well_2d"},
-        trials=50,
-        seed=501,
+        trials=trials,
+        seed=seed,
         protocol={"betas": [0.0, 0.001, 0.01, 0.1], "epsilon": 0.05, "n_steps": 20000},
     )
-    summary = run_experiment(cfg, tmp_path)
+    summary = run_experiment(cfg, out_dir)
     rows = {row["beta"]: row for row in summary["table"]}
 
     sweep = [rows[b] for b in (0.001, 0.01, 0.1)]
@@ -436,29 +532,36 @@ def test_criterion_09_risk_decreases_with_beta(criteria, tmp_path):
             f"beta->0 mean {flat['mean_final_risk']:.0f} vs grid "
             f"{summary['uniform_law_mean_risk']:.0f} beyond 2 SE"
         )
-    dt = time.perf_counter() - t0
     means = " -> ".join(f"{rows[b]['mean_final_risk']:.0f}" for b in (0.001, 0.01, 0.1))
+    return problems, (
+        f"means {means} ({len(inversions)} inversion within 2 SE), beta->0 gap "
+        f"{gap0:.0f} < 2 SE {2 * flat['se_final_risk']:.0f}"
+    )
+
+
+def test_criterion_09_risk_decreases_with_beta(criteria, tmp_path):
+    t0 = time.perf_counter()
+    problems, summary = beta_sweep_gate(tmp_path)
+    dt = time.perf_counter() - t0
     criteria.check(
         9,
         "final risk decreases with beta",
         not problems and dt < 900,
-        "; ".join(problems)
-        or f"means {means} ({len(inversions)} inversion within 2 SE), beta->0 gap "
-        f"{gap0:.0f} < 2 SE {2 * flat['se_final_risk']:.0f}; {dt:.0f}s",
+        "; ".join(problems) or f"{summary}; {dt:.0f}s",
     )
 
 
-def test_criterion_10_generalization_gap_vs_n(criteria, tmp_path):
-    t0 = time.perf_counter()
+def generalization_gate(out_dir, trials: int = 50, seed: int = 601):
+    """Criterion 10's protocol and gate; returns (problems, gaps summary)."""
     problems = []
     cfg = ExperimentConfig(
         kind="generalization",
         objective={"name": "linreg_synthetic", "n": 32, "d": 2, "noise": 0.5, "seed": 0},
-        trials=50,
-        seed=601,
+        trials=trials,
+        seed=seed,
         protocol={"n_list": [32, 128, 512]},
     )
-    summary = run_experiment(cfg, tmp_path)
+    summary = run_experiment(cfg, out_dir)
     rows = summary["table"]
     for lo, hi in zip(rows, rows[1:]):
         allowance = 2.0 * math.hypot(lo["gap_se"], hi["gap_se"])
@@ -469,8 +572,13 @@ def test_criterion_10_generalization_gap_vs_n(criteria, tmp_path):
     first, last = rows[0], rows[-1]
     if last["gap"] > first["gap"] + 2.0 * math.hypot(first["gap_se"], last["gap_se"]):
         problems.append("n=512 gap exceeds n=32 gap beyond 2 SE")
+    return problems, " -> ".join(f"{r['gap']:.4f}" for r in rows)
+
+
+def test_criterion_10_generalization_gap_vs_n(criteria, tmp_path):
+    t0 = time.perf_counter()
+    problems, gaps = generalization_gate(tmp_path)
     dt = time.perf_counter() - t0
-    gaps = " -> ".join(f"{r['gap']:.4f}" for r in rows)
     criteria.check(
         10,
         "generalization gap non-increasing in n",

@@ -108,6 +108,27 @@ def test_ray_seam_radii_open_interval():
     assert radii.size == 0
 
 
+def test_first_seam_radii():
+    dom = TorusDomain(2, (10.0, 4.0))
+    starts = np.array([[9.0, 3.0], [5.0, 1.0], [5.0, 2.0]])
+    dirs = np.array([[0.6, 0.8], [-1.0, 0.0], [0.0, 1.0]])
+    radii = dom.first_seam_radii(starts, dirs)
+    # row 0: x reaches 10 at r = 1/0.6, y reaches 4 at r = 1.25 (first);
+    # row 1: x reaches 0 at r = 5; row 2: y reaches 4 at r = 2
+    exact = np.array([1.25, 5.0, 2.0])
+    assert np.all(radii < exact)
+    assert np.allclose(radii, exact, rtol=0.0, atol=1e-8)
+    # every point below the radius stays in the box when computed in floats
+    for start, v, r in zip(starts, dirs, radii):
+        assert dom.contains(start + np.nextafter(r, 0.0) * v)
+    # a start within the margin of the seam it faces has no room; a zero
+    # direction never reaches a seam
+    assert dom.first_seam_radii(np.array([[10.0 - 1e-12, 1.0]]), np.array([[1.0, 0.0]]))[0] <= 0.0
+    assert dom.first_seam_radii(np.array([[0.0, 1.0]]), np.array([[-1.0, 0.0]]))[0] <= 0.0
+    assert dom.first_seam_radii(np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]]))[0] > 9.99
+    assert np.isinf(TorusDomain(1, 3.0).first_seam_radii(np.array([[1.0]]), np.array([[0.0]]))[0])
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         TorusDomain(0, 1.0)

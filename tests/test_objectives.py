@@ -178,6 +178,24 @@ def test_resolve_batch_validation():
         obj.resolve_batch([0, 99])
 
 
+def test_sampled_batches_skip_checks_but_user_batches_do_not():
+    obj = quadratic_bowl(np.arange(8, dtype=float).reshape(4, 2), side_lengths=10.0)
+    sampled = _sample_batches(RngStream(1).generator, 3, 4, 2)
+    resolved = obj.resolve_batch(sampled)
+    assert type(resolved) is np.ndarray and np.array_equal(resolved, sampled)
+    # the same shapes from a caller are checked on every entry point
+    points = np.zeros((3, 2))
+    for bad in ([[0, 0], [1, 2], [2, 3]], [[0, 1], [1, 4], [2, 3]], [[0.0, 1.0]] * 3):
+        with pytest.raises(ValueError):
+            obj.grad_field(bad)
+        with pytest.raises(ValueError):
+            obj.minibatch_grad(bad, points)
+        with pytest.raises(ValueError):
+            obj.minibatch_risk(bad, points)
+        with pytest.raises(ValueError):
+            obj.resolve_batch(np.asarray(bad))
+
+
 def test_build_objective_dispatch():
     obj = build_objective({"name": "double_well_1d"})
     assert obj.domain.dim == 1

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -7,6 +9,7 @@ from poisson_sgd.domain import TorusDomain
 from poisson_sgd.objectives import (
     AnalyticObjective,
     GradientBoundError,
+    ObjectiveMetadata,
     double_well_1d,
     double_well_2d,
     quadratic_bowl,
@@ -17,7 +20,7 @@ from poisson_sgd.optimizer import (
     run_poisson_sgd,
     run_poisson_sgd_ensemble,
 )
-from poisson_sgd.sampler import RngStream, uniform_sphere
+from poisson_sgd.sampler import RateBoundError, RngStream, uniform_sphere
 
 
 def test_reflect_hand_examples():
@@ -228,3 +231,41 @@ def test_ensembles_check_reflection_gradients_against_the_bound():
         run_poisson_sgd_ensemble(obj, PoissonSgdConfig(beta=0.0, epsilon=0.5, n_steps=5), 16)
     with pytest.raises(GradientBoundError, match="false_bound"):
         run_bps_ensemble(obj, BpsConfig(beta=0.0, lambda_ref=1.0, c_b=0.0, n_steps=5), 16)
+
+
+def test_ensembles_refuse_a_false_lipschitz_constant():
+    # the double well's curvature reaches 888; declared as 1, the local
+    # thinning bounds are false and an evaluated rate must expose them
+    obj = copy.copy(double_well_1d())
+    obj.metadata = ObjectiveMetadata(lipschitz_c1=1.0)
+    with pytest.raises(RateBoundError, match="local bound"):
+        run_poisson_sgd_ensemble(obj, PoissonSgdConfig(beta=0.05, epsilon=0.5, n_steps=20), 64)
+    # a coupled BPS ceiling stays below two floors, too low for local bounds
+    cfg = BpsConfig(beta=0.05, lambda_ref=0.5, c_b=0.0, epsilon=0.5, n_steps=20)
+    with pytest.raises(RateBoundError, match="local bound"):
+        run_bps_ensemble(obj, cfg, 64)
+
+
+def test_local_bounds_keep_every_draw():
+    # the same chains with and without a Lipschitz constant: local bounds
+    # only skip rate evaluations, so every draw must agree exactly
+    cases = [
+        (quadratic_bowl([[2.0, 3.0], [6.0, 5.0], [4.0, 8.0], [7.0, 1.0]], side_lengths=10.0), 2.0),
+        (double_well_2d(), 0.1),
+    ]
+    for obj, beta in cases:
+        blind = copy.copy(obj)
+        blind.metadata = ObjectiveMetadata()
+        cfg = PoissonSgdConfig(beta=beta, epsilon=0.5, n_steps=20)
+        local = run_poisson_sgd_ensemble(obj, cfg, 500, rng=RngStream(10))
+        ceiling = run_poisson_sgd_ensemble(blind, cfg, 500, rng=RngStream(10))
+        assert np.array_equal(local.thetas, ceiling.thetas)
+        assert local.mean_eta == ceiling.mean_eta
+    obj = double_well_1d()
+    blind = copy.copy(obj)
+    blind.metadata = ObjectiveMetadata()
+    cfg = BpsConfig(beta=0.05, lambda_ref=0.5, c_b=0.0, epsilon=0.5, n_steps=20)
+    local = run_bps_ensemble(obj, cfg, 500, rng=RngStream(12))
+    ceiling = run_bps_ensemble(blind, cfg, 500, rng=RngStream(12))
+    assert np.array_equal(local.thetas, ceiling.thetas)
+    assert np.array_equal(local.velocities, ceiling.velocities)

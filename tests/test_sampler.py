@@ -123,6 +123,22 @@ def test_thin_first_arrivals_vectorized_constant():
     assert ks < 0.01
 
 
+def test_thin_first_arrivals_without_slope_draws_pinned_values():
+    # the ceiling path is the no-slope case of the local-bound sampler; its
+    # draws are pinned so that callers without a Lipschitz constant keep
+    # their exact random streams (several rows need several rounds here)
+    fn = lambda t: 1.0 + 0.5 * np.sin(2.2 * t + 0.4)  # noqa: E731
+    draws = thin_first_arrivals(lambda r, rows: fn(r), 6, 0.5, 1.5, RngStream(47), block=2)
+    assert draws.tolist() == [
+        6.2827791583941215,
+        0.8142641171214215,
+        0.5430551280967901,
+        0.1880478737881876,
+        0.2808046953856628,
+        0.5287067978021533,
+    ]
+
+
 def test_thin_first_arrivals_requires_positive_floor():
     rate_rows = lambda radii, rows: np.ones_like(radii)  # noqa: E731
     with pytest.raises(ValueError):
@@ -242,3 +258,237 @@ def test_inverter_rejects_rate_below_floor():
 
     with pytest.raises(ValueError):
         RayCdfInverter(bad, 1.0)
+
+
+# ----------------------------------------------------------------------
+# local, seam-aware thinning bounds
+# ----------------------------------------------------------------------
+
+
+def _counted(fn):
+    calls = {"rounds": 0, "proposals": 0}
+
+    def rate_rows(radii, rows):
+        calls["rounds"] += 1
+        calls["proposals"] += radii.size
+        return fn(radii)
+
+    return rate_rows, calls
+
+
+def _oracle_cloud(fn, floor, breakpoints=()):
+    inverter = RayCdfInverter(fn, floor, breakpoints=breakpoints)
+    return inverter.ppf((np.arange(80000) + 0.5) / 80000)
+
+
+# name, rate, floor, ceiling, Lipschitz slope, first jump radius
+LOCAL_FIELDS = [
+    ("ramp", lambda t: 0.8 + 0.6 * (1.0 - np.exp(-np.asarray(t))), 0.8, 1.4, 0.6, math.inf),
+    ("sin", lambda t: 1.0 + 0.5 * np.sin(2.2 * np.asarray(t) + 0.4), 0.5, 1.5, 1.1, math.inf),
+    ("bump", lambda t: 0.9 + 1.8 * np.exp(-((np.asarray(t) - 1.2) ** 2) / 0.18), 0.9, 2.7, 3.7, math.inf),
+    (
+        "jumps",
+        lambda t: np.where(np.asarray(t) < 0.7, 0.8, np.where(np.asarray(t) < 1.5, 2.4, 1.1)),
+        0.8,
+        2.4,
+        0.0,
+        0.7,
+    ),
+]
+
+
+@pytest.mark.parametrize("anchored", [True, False], ids=["anchored", "from-ceiling"])
+@pytest.mark.parametrize("field", LOCAL_FIELDS, ids=[f[0] for f in LOCAL_FIELDS])
+def test_local_bound_matches_oracle(field, anchored):
+    from poisson_sgd.metrics import wasserstein1_1d
+
+    name, fn, floor, ceiling, slope, seam = field
+    n = 20000
+    # from the ceiling, one proposal per round makes most rows re-anchor
+    block = None if anchored else 1
+    rate_rows, calls = _counted(fn)
+    draws = thin_first_arrivals(
+        rate_rows,
+        n,
+        floor,
+        ceiling,
+        RngStream(41),
+        block=block,
+        slope=slope,
+        anchor_rates=np.full(n, float(fn(np.zeros(1))[0])) if anchored else None,
+        seam_radii=np.full(n, seam),
+    )
+    plain_rows, plain_calls = _counted(fn)
+    plain = thin_first_arrivals(plain_rows, n, floor, ceiling, RngStream(41), block=block)
+    # the local bound only skips evaluations; every draw is the ceiling's
+    assert np.array_equal(draws, plain)
+    # unanchored rows evaluate everything, so savings there need re-anchoring
+    assert calls["proposals"] < plain_calls["proposals"]
+    breaks = (0.7, 1.5) if name == "jumps" else ()
+    assert wasserstein1_1d(draws, _oracle_cloud(fn, floor, breaks)) < 0.02
+
+
+def test_local_bound_skips_most_evaluations_under_a_loose_ceiling():
+    # the ramp never exceeds 1.4; against a ceiling of 14 nine in ten
+    # proposals are rejected, and the local bound sees most of them unevaluated
+    fn = LOCAL_FIELDS[0][1]
+    n = 5000
+    rate_rows, calls = _counted(fn)
+    draws = thin_first_arrivals(
+        rate_rows,
+        n,
+        0.8,
+        14.0,
+        RngStream(48),
+        slope=0.6,
+        anchor_rates=np.full(n, 0.8),
+        seam_radii=np.full(n, np.inf),
+    )
+    plain_rows, plain_calls = _counted(fn)
+    assert np.array_equal(draws, thin_first_arrivals(plain_rows, n, 0.8, 14.0, RngStream(48)))
+    assert calls["proposals"] < 0.2 * plain_calls["proposals"]
+
+
+def _concave_circle():
+    # 12.5 - (theta - 5)^2 / 2 on a circle of length 10: along +x the rate
+    # jumps UP at the seam, from the floor to the floor plus 5 beta
+    from poisson_sgd.objectives import AnalyticObjective, ObjectiveMetadata
+
+    return AnalyticObjective(
+        lambda th: 12.5 - 0.5 * (th[..., 0] - 5.0) ** 2,
+        lambda th: -(th - 5.0),
+        TorusDomain(1, 10.0),
+        5.0,
+        "concave_circle",
+        metadata=ObjectiveMetadata(lipschitz_c1=1.0),
+    )
+
+
+def _seam_ray(objective, base, direction, beta, floor):
+    return RayRate(
+        base_point=np.asarray(base, dtype=float),
+        direction=np.asarray(direction, dtype=float),
+        beta=beta,
+        constant_floor=floor,
+        grad_field=objective.grad_field(None),
+        grad_norm_bound=objective.grad_norm_bound,
+        wrap=objective.domain.wrap,
+        seam_radii=lambda length: objective.domain.ray_seam_radii(base, direction, length),
+    )
+
+
+@pytest.mark.parametrize("case", ["double_well_2d", "concave_circle"])
+def test_local_bound_across_a_seam_matches_oracle(case):
+    from poisson_sgd.metrics import wasserstein1_1d
+    from poisson_sgd.objectives import double_well_2d
+
+    if case == "double_well_2d":
+        # the rate falls at the seam: the wells rise toward the box faces
+        objective, base, direction = double_well_2d(), [39.6, 20.3], [0.8, 0.6]
+        ray = _seam_ray(objective, base, direction, 3e-5, 2.0)
+    else:
+        objective, base, direction = _concave_circle(), [9.0], [1.0]
+        ray = _seam_ray(objective, base, direction, 0.4, 1.0)
+    seam = objective.domain.first_seam_radii(ray.base_point[None], ray.direction[None])
+    n = 20000
+    rate_rows, calls = _counted(ray.rate)
+    draws = thin_first_arrivals(
+        rate_rows,
+        n,
+        ray.constant_floor,
+        ray.upper_bound,
+        RngStream(43),
+        slope=ray.beta * objective.metadata.lipschitz_c1,
+        anchor_rates=np.full(n, ray.rate(np.zeros(1))[0]),
+        seam_radii=np.full(n, seam[0]),
+    )
+    plain_rows, plain_calls = _counted(ray.rate)
+    plain = thin_first_arrivals(plain_rows, n, ray.constant_floor, ray.upper_bound, RngStream(43))
+    assert np.array_equal(draws, plain)
+    assert calls["proposals"] < plain_calls["proposals"]
+    horizon = -math.log(1e-13) / ray.constant_floor
+    cloud = _oracle_cloud(ray.rate, ray.constant_floor, ray.seam_radii(horizon))
+    assert 0.1 < np.mean(draws > seam[0]) < 0.9
+    assert wasserstein1_1d(draws, cloud) < 0.02
+
+
+def test_ignoring_an_upward_seam_raises():
+    # thinning the concave circle's ray as if the rate stayed Lipschitz past
+    # its seam lets evaluated rates exceed their bound; that must abort
+    objective = _concave_circle()
+    ray = _seam_ray(objective, [9.0], [1.0], 0.4, 1.0)
+    n = 2000
+    with pytest.raises(RateBoundError, match="local bound"):
+        thin_first_arrivals(
+            lambda radii, rows: ray.rate(radii),
+            n,
+            1.0,
+            ray.upper_bound,
+            RngStream(44),
+            slope=0.4,
+            anchor_rates=np.full(n, ray.rate(np.zeros(1))[0]),
+            seam_radii=np.full(n, np.inf),
+        )
+
+
+def test_too_small_slope_raises():
+    # true slope 0.6 declared as 0.01: an evaluated rate beats its bound
+    fn = LOCAL_FIELDS[0][1]
+    n = 2000
+    with pytest.raises(RateBoundError, match="local bound"):
+        thin_first_arrivals(
+            lambda radii, rows: fn(radii),
+            n,
+            0.8,
+            1.4,
+            RngStream(45),
+            slope=0.01,
+            anchor_rates=np.full(n, 0.8),
+            seam_radii=np.full(n, np.inf),
+        )
+
+
+def test_local_bound_argument_validation():
+    rate_rows = lambda radii, rows: np.ones_like(radii)  # noqa: E731
+    with pytest.raises(ValueError):
+        thin_first_arrivals(rate_rows, 3, 1.0, 2.0, RngStream(0), anchor_rates=np.ones(3))
+    with pytest.raises(ValueError):
+        thin_first_arrivals(rate_rows, 3, 1.0, 2.0, RngStream(0), slope=1.0)
+    with pytest.raises(ValueError):
+        thin_first_arrivals(
+            rate_rows, 3, 1.0, 2.0, RngStream(0), slope=-1.0, seam_radii=np.ones(3)
+        )
+    with pytest.raises(ValueError):
+        thin_first_arrivals(
+            rate_rows, 3, 1.0, 2.0, RngStream(0), slope=1.0, seam_radii=np.ones(2)
+        )
+    # an anchor rate outside the envelope is refused like any evaluated rate
+    with pytest.raises(RateBoundError):
+        thin_first_arrivals(
+            rate_rows,
+            3,
+            1.0,
+            2.0,
+            RngStream(0),
+            slope=1.0,
+            anchor_rates=np.full(3, 5.0),
+            seam_radii=np.ones(3),
+        )
+
+
+def test_rows_at_their_seam_thin_at_the_ceiling():
+    # a seam radius <= 0 leaves no local bound: the row draws as without one
+    fn = LOCAL_FIELDS[1][1]
+    n = 500
+    plain = thin_first_arrivals(lambda r, rows: fn(r), n, 0.5, 1.5, RngStream(46))
+    at_seam = thin_first_arrivals(
+        lambda r, rows: fn(r),
+        n,
+        0.5,
+        1.5,
+        RngStream(46),
+        slope=1.1,
+        anchor_rates=np.full(n, float(fn(np.zeros(1))[0])),
+        seam_radii=np.zeros(n),
+    )
+    assert np.array_equal(plain, at_seam)
