@@ -11,17 +11,19 @@ satisfy ``Lambda_ref + C_B = beta * M + 1/epsilon``, matching the optimizer's
 constant floor, which is what makes the two chains directly comparable.
 
 The sampler runs on the optimizer's lock-step chain loop
-(``optimizer._run_chains``): this module supplies only its constants and its
-velocity turn (reflect or refresh), so both chains share every other line of
-the step. ``run_bps`` is the one-chain case that returns the chain's record,
-with the event tag and reflect probability of every kept step.
+(``optimizer._run_chains``): ``BpsConfig`` supplies only its constants and
+its velocity turn (reflect or refresh, with the refreshes counted), so both
+chains share every other line of the step. The loop reports the refresh
+count as ``extras["refresh_fraction"]``, per chain-step. ``run_bps`` is the
+one-chain case that returns the chain's record, with the event tag and
+reflect probability of every kept step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -30,8 +32,9 @@ from .objectives import Objective
 from .optimizer import (
     EnsembleResult,
     PoissonSgdConfig,
-    _initial_rows,
+    _check_chain_fields,
     _run_chains,
+    _run_one,
     reflect,
     run_poisson_sgd_ensemble,
 )
@@ -58,6 +61,12 @@ class BpsConfig:
     :meth:`coupled` to get it by definition).
     """
 
+    kind: ClassVar[str] = "bps"
+    counts: ClassVar[tuple[str, ...]] = ("refresh",)
+    # the sampler always runs full batch and records no risk
+    batch_size: ClassVar[int] = 0
+    record_risk: ClassVar[bool] = False
+
     beta: float
     lambda_ref: float
     c_b: float
@@ -69,8 +78,7 @@ class BpsConfig:
     record_stride: int = 1
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.beta) and self.beta >= 0.0):
-            raise ValueError("beta must be finite and >= 0")
+        _check_chain_fields(self)
         if not (math.isfinite(self.lambda_ref) and self.lambda_ref > 0.0):
             raise ValueError("lambda_ref must be strictly positive")
         if not (math.isfinite(self.c_b) and self.c_b >= 0.0):
@@ -79,14 +87,6 @@ class BpsConfig:
             math.isfinite(self.epsilon) and self.epsilon > 0.0
         ):
             raise ValueError("epsilon must be positive when given")
-        if self.n_steps < 0:
-            raise ValueError("n_steps must be >= 0")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
-        for name in ("initial_point", "initial_velocity"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, tuple(float(x) for x in value))
 
     @classmethod
     def coupled(
@@ -132,69 +132,32 @@ class BpsConfig:
                 f"beta*M + 1/epsilon = {total}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "lambda_ref": self.lambda_ref,
-            "c_b": self.c_b,
-            "epsilon": self.epsilon,
-            "n_steps": self.n_steps,
-            "initial_point": None if self.initial_point is None else list(self.initial_point),
-            "initial_velocity": None
-            if self.initial_velocity is None
-            else list(self.initial_velocity),
-            "seed": self.seed,
-            "record_stride": self.record_stride,
-        }
+    def turn(self, vels: np.ndarray, grads: np.ndarray, rng: RngStream):
+        """Reflect or refresh each velocity; tags each chain's event and
+        counts the refreshes.
 
-
-def _reflect_or_refresh(cfg: BpsConfig, d: int, rng: RngStream):
-    """The sampler's velocity turn and a running count of its refreshes.
-
-    Per step it draws ``random(N)`` for the reflect-or-refresh choices, then
-    ``N`` fresh sphere directions, whichever chains use them.
-    """
-    refreshes = [0]
-
-    def turn(vels: np.ndarray, grads: np.ndarray):
-        lam = cfg.beta * np.maximum(np.einsum("nd,nd->n", grads, vels), 0.0)
-        p_reflect = (lam + cfg.c_b) / (lam + cfg.lambda_ref + cfg.c_b)
-        do_reflect = rng.generator.random(len(vels)) < p_reflect
-        fresh = uniform_sphere(d, rng, len(vels))
-        refreshes[0] += int(len(vels) - do_reflect.sum())
+        Draws ``random(N)`` for the reflect-or-refresh choices, then ``N``
+        fresh sphere directions, whichever chains use them.
+        """
+        n, d = vels.shape
+        lam = self.beta * np.maximum(np.einsum("nd,nd->n", grads, vels), 0.0)
+        p_reflect = (lam + self.c_b) / (lam + self.lambda_ref + self.c_b)
+        do_reflect = rng.generator.random(n) < p_reflect
+        fresh = uniform_sphere(d, rng, n)
 
         def tags(i: int) -> dict:
             event = "reflect" if do_reflect[i] else "refresh"
             return {"event": event, "p_reflect": float(p_reflect[i])}
 
-        return np.where(do_reflect[:, None], reflect(vels, grads), fresh), tags
-
-    return turn, refreshes
+        turned = np.where(do_reflect[:, None], reflect(vels, grads), fresh)
+        return turned, tags, {"refresh": int(n - do_reflect.sum())}
 
 
 def run_bps(objective: Objective, cfg: BpsConfig) -> RunRecord:
     """Run one chain for K events and return its stride-thinned record with
     event tags; the chain is chain 0 of the one-chain ensemble seeded by
     ``cfg.seed``."""
-    rng = RngStream(cfg.seed)
-    turn, _ = _reflect_or_refresh(cfg, objective.domain.dim, rng)
-    points, velocities = _initial_rows(cfg)
-    result = _run_chains(
-        objective,
-        cfg,
-        1,
-        rng,
-        points,
-        velocities,
-        (),
-        (0,),
-        turn=turn,
-        floor=cfg.floor,
-        batch_size=0,
-        kind="bps",
-        record_risk=False,
-    )
-    return result.records[0]
+    return _run_one(objective, cfg)
 
 
 def run_bps_ensemble(
@@ -212,25 +175,9 @@ def run_bps_ensemble(
     Takes the same arguments as ``run_poisson_sgd_ensemble``; the extras
     track the realized refresh fraction, which stationarity diagnostics use.
     """
-    rng = RngStream(cfg.seed) if rng is None else rng
-    turn, refreshes = _reflect_or_refresh(cfg, objective.domain.dim, rng)
-    result = _run_chains(
-        objective,
-        cfg,
-        n_chains,
-        rng,
-        initial_points,
-        initial_velocities,
-        snapshot_steps,
-        record_chains,
-        turn=turn,
-        floor=cfg.floor,
-        batch_size=0,
-        kind="bps",
-        record_risk=False,
+    return _run_chains(
+        objective, cfg, n_chains, rng, initial_points, initial_velocities, snapshot_steps, record_chains
     )
-    result.extras["refresh_fraction"] = refreshes[0] / max(1, cfg.n_steps * int(n_chains))
-    return result
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ density), ``beta_sweep`` (does final risk drop as beta grows),
 ``coupling`` (how far apart are the optimizer's and the sampler's step-K
 laws), ``generalization`` (does the train/test gap shrink with dataset
 size), and ``baseline`` (the reference optimizers alone). A config's
-``protocol`` overrides the kind's defaults and may name no other key.
+``protocol`` overrides the kind's defaults and may name no other key; a
+value the kind's runner would misread is refused when the config is built.
 
 Every run writes raw artifacts first (endpoint arrays, records, reference
 grids), then derives all summary tables from those artifacts, so ``analyze``
@@ -29,9 +30,8 @@ import numpy as np
 
 from . import __version__
 from .bps import BpsConfig, coupled_compare, run_bps, run_bps_ensemble
-from .domain import TorusDomain
 from .metrics import histogram_tv, ks_statistic, sliced_wasserstein1
-from .objectives import LinearRegressionObjective, Objective, build_objective
+from .objectives import LinearRegressionObjective, Objective, build_objective, linreg_synthetic
 from .optimizer import PoissonSgdConfig, _sample_batches, run_poisson_sgd, run_poisson_sgd_ensemble
 from .records import canonical_json
 from .sampler import RngStream, uniform_sphere
@@ -86,6 +86,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown {self.kind} protocol keys {unknown}; known: {sorted(known)}"
             )
+        _refuse_misread(self.kind, self.params())
 
     def to_dict(self) -> dict:
         return {
@@ -124,6 +125,29 @@ class ExperimentConfig:
     def params(self) -> dict:
         """The kind's default protocol overridden by this config's."""
         return {**EXPERIMENT_KINDS[self.kind][2](), **self.protocol}
+
+
+def _refuse_misread(kind: str, params: dict) -> None:
+    """Refuse protocol values that a kind's runner would silently misread."""
+
+    def require(key: str, allowed: tuple) -> None:
+        if params[key] not in allowed:
+            raise ValueError(f"unknown {kind} {key} {params[key]!r}; known: {list(allowed)}")
+
+    if kind == "stationarity":
+        require("algorithm", ("bps", "poisson_sgd"))
+        require("mode", ("many-short-chains", "long-chain"))
+        require("init", ("uniform", "oracle"))
+        if params["mode"] == "long-chain" and params["init"] != "uniform":
+            raise ValueError("stationarity long-chain mode starts its chain uniformly: init must be 'uniform'")
+        if params["algorithm"] == "bps" and int(params["batch_size"]) != 0:
+            raise ValueError("the bps sampler runs full batch: batch_size must be 0")
+    elif kind == "baseline":
+        require("algorithm", ("sgd", "sgld"))
+        if params["algorithm"] == "sgd" and float(params["noise_scale"]) != 0.0:
+            raise ValueError("baseline sgd adds no noise: noise_scale must be 0 (or use sgld)")
+    elif kind == "escape" and params["sgld_noise"] is None and float(params["beta"]) == 0.0:
+        raise ValueError("escape with beta 0 needs sgld_noise: its default sqrt(2 rate / beta) is undefined")
 
 
 # ----------------------------------------------------------------------
@@ -354,11 +378,6 @@ def _analyze_escape(cfg: ExperimentConfig, out_dir: Path) -> dict:
                 "mean_final_risk": float(risks.mean()),
             }
         )
-    _write_csv(
-        out_dir / "summary.csv",
-        ["algorithm", "fraction_global", "mean_final_risk"],
-        [[r["algorithm"], r["fraction_global"], r["mean_final_risk"]] for r in rows],
-    )
     return {"table": rows}
 
 
@@ -419,8 +438,6 @@ def _run_stationarity(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     init_points = None
     if params["init"] == "oracle":
         init_points = density.sample(cfg.trials, cfg.stream(6))
-    elif params["init"] != "uniform":
-        raise ValueError(f"unknown init {params['init']!r}")
 
     if params["algorithm"] == "bps":
         algo_cfg = BpsConfig.coupled(
@@ -432,7 +449,7 @@ def _run_stationarity(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
             seed=cfg.seed,
         )
         run_ensemble, run_single = run_bps_ensemble, run_bps
-    elif params["algorithm"] == "poisson_sgd":
+    else:
         algo_cfg = PoissonSgdConfig(
             beta=float(params["beta"]),
             epsilon=float(params["epsilon"]),
@@ -441,8 +458,6 @@ def _run_stationarity(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
             seed=cfg.seed,
         )
         run_ensemble, run_single = run_poisson_sgd_ensemble, run_poisson_sgd
-    else:
-        raise ValueError(f"unknown algorithm {params['algorithm']!r}")
 
     if params["mode"] == "many-short-chains":
         result = run_ensemble(
@@ -456,8 +471,8 @@ def _run_stationarity(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
         for k, cloud in result.snapshots.items():
             _save_cloud(out_dir / f"cloud_{k:08d}.npy", cloud)
             artifacts.append(f"cloud_{k:08d}.npy")
-    elif params["mode"] == "long-chain":
-        # one chain; thinned post-burn-in states stand in for the step-K law
+    else:
+        # long-chain: one chain; thinned post-burn-in states stand in for the step-K law
         rec = run_single(objective, algo_cfg)
         rec.to_ndjson(out_dir / "chain.ndjson")
         artifacts.append("chain.ndjson")
@@ -465,8 +480,6 @@ def _run_stationarity(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
         burn = int(len(thetas) * float(params["burn_in_fraction"]))
         _save_cloud(out_dir / f"cloud_{n_steps:08d}.npy", thetas[burn:])
         artifacts.append(f"cloud_{n_steps:08d}.npy")
-    else:
-        raise ValueError(f"unknown mode {params['mode']!r}")
     return artifacts
 
 
@@ -510,11 +523,6 @@ def _analyze_stationarity(cfg: ExperimentConfig, out_dir: Path) -> dict:
             }
         )
     rows.sort(key=lambda r: r["k"])
-    _write_csv(
-        out_dir / "summary.csv",
-        ["k", "tv", "sliced_w1", "ks_max"],
-        [[r["k"], r["tv"], r["sliced_w1"], r["ks_max"]] for r in rows],
-    )
     summary = {"table": rows, "mode": params["mode"]}
     if params["mode"] == "long-chain":
         summary["long_chain_caveat"] = (
@@ -577,14 +585,6 @@ def _analyze_beta_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
             }
         )
     uniform_mean = grid_mean_risk(objective, int(params["uniform_resolution"]))
-    _write_csv(
-        out_dir / "summary.csv",
-        ["beta", "mean_final_risk", "std_final_risk", "se_final_risk"],
-        [
-            [r["beta"], r["mean_final_risk"], r["std_final_risk"], r["se_final_risk"]]
-            for r in rows
-        ],
-    )
     return {"table": rows, "uniform_law_mean_risk": float(uniform_mean)}
 
 
@@ -627,11 +627,6 @@ def _analyze_coupling(cfg: ExperimentConfig, out_dir: Path) -> dict:
         b = np.load(out_dir / f"sampler_cloud_{i}.npy")
         w1 = sliced_wasserstein1(a, b, n_proj=int(params["n_proj"]), rng=cfg.stream(11, i))
         rows.append({"epsilon": float(eps), "sliced_w1": float(w1)})
-    _write_csv(
-        out_dir / "summary.csv",
-        ["epsilon", "sliced_w1"],
-        [[r["epsilon"], r["sliced_w1"]] for r in rows],
-    )
     return {"table": rows}
 
 
@@ -659,16 +654,10 @@ def make_linreg_with_holdout(
 ) -> tuple[LinearRegressionObjective, np.ndarray, np.ndarray]:
     """Train objective on n samples plus a held-out test block from the same
     generator (one draw of n + n_test rows, split deterministically)."""
-    rng = RngStream(int(seed), spawn_key=(104729,))
-    gen = rng.generator
-    total = int(n) + int(n_test)
-    X = gen.standard_normal((total, int(d)))
-    theta_true = side * (0.25 + 0.5 * gen.random(int(d)))
-    y = X @ theta_true + (noise * gen.standard_normal(total) if noise > 0 else 0.0)
-    domain = TorusDomain(int(d), side)
+    full = linreg_synthetic(int(n) + int(n_test), d, noise, seed, side)
     spec = {"seed": int(seed), "noise": float(noise), "side": float(side), "n_test": int(n_test)}
-    train = LinearRegressionObjective(X[:n], y[:n], domain, generator_spec=spec)
-    return train, X[n:], y[n:]
+    train = LinearRegressionObjective(full.features[:n], full.targets[:n], full.domain, generator_spec=spec)
+    return train, full.features[n:], full.targets[n:]
 
 
 def _generalization_trial(args) -> tuple[int, int, float, float]:
@@ -736,11 +725,6 @@ def _analyze_generalization(cfg: ExperimentConfig, out_dir: Path) -> dict:
                 "gap_se": float(gaps.std(ddof=1) / np.sqrt(gaps.size)),
             }
         )
-    _write_csv(
-        out_dir / "summary.csv",
-        ["n", "train_risk", "test_risk", "gap", "gap_se"],
-        [[r["n"], r["train_risk"], r["test_risk"], r["gap"], r["gap_se"]] for r in rows],
-    )
     return {"table": rows}
 
 
@@ -783,11 +767,6 @@ def _analyze_baseline(cfg: ExperimentConfig, out_dir: Path) -> dict:
         "mean_final_risk": float(risks.mean()),
         "std_final_risk": float(risks.std(ddof=1)),
     }
-    _write_csv(
-        out_dir / "summary.csv",
-        ["algorithm", "mean_final_risk", "std_final_risk"],
-        [[row["algorithm"], row["mean_final_risk"], row["std_final_risk"]]],
-    )
     return {"table": [row]}
 
 
@@ -824,12 +803,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
 
 
 def analyze_experiment(out_dir) -> dict:
-    """Rebuild every summary table from the persisted artifacts alone."""
+    """Rebuild every summary table from the persisted artifacts alone.
+
+    The analyzer's ``table`` (a list of rows with the same keys) is written
+    as ``summary.csv``, one column per key in key order.
+    """
     out_dir = Path(out_dir)
     manifest = _load_manifest(out_dir)
     cfg = ExperimentConfig.from_dict(manifest["config"])
     _, analyzer, _ = EXPERIMENT_KINDS[cfg.kind]
     summary = analyzer(cfg, out_dir)
+    table = summary["table"]
+    _write_csv(out_dir / "summary.csv", list(table[0]), [list(row.values()) for row in table])
     summary = {"kind": cfg.kind, "config_hash": manifest["config_hash"], **summary}
     (out_dir / "summary.json").write_text(canonical_json(summary) + "\n")
     (out_dir / "plot.py").write_text(_PLOT_STUB)

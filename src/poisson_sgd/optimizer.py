@@ -11,11 +11,14 @@ long strides.
 
 Both chains of the package take this piecewise-deterministic step and differ
 only in how the velocity turns after the move, so one loop (``_run_chains``)
-advances N independent chains of either kind per numpy call. The optimizer
-passes ``reflect`` as the turn; :mod:`poisson_sgd.bps` passes its
-reflect-or-refresh choice. ``run_poisson_sgd_ensemble`` returns endpoint
-clouds, optionally with step records of selected chains, and
-``run_poisson_sgd`` is the one-chain case that returns that chain's record.
+advances N independent chains of either kind per numpy call. Each chain
+config carries its kind: the loop reads its floor, batch size and record
+fields from it and calls its ``turn(vels, grads, rng)``. The optimizer's
+turn is ``reflect``; :class:`poisson_sgd.bps.BpsConfig` reflects or
+refreshes and counts its refreshes, which the loop reports in ``extras``.
+``run_poisson_sgd_ensemble`` returns endpoint clouds, optionally with step
+records of selected chains, and ``run_poisson_sgd`` is the one-chain case
+that returns that chain's record.
 
 With a full batch, an objective that declares a Lipschitz constant and a
 ceiling at least ``LOCAL_BOUND_MIN_SPREAD`` floors high, thinning skips
@@ -29,8 +32,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -70,14 +73,31 @@ def reflect(v, g, tol: float = ZERO_GRAD_TOL):
     return v - coef[..., None] * g
 
 
+def _check_chain_fields(cfg) -> None:
+    """Checks shared by both chain configs; start points become float tuples."""
+    if not (math.isfinite(cfg.beta) and cfg.beta >= 0.0):
+        raise ValueError("beta must be finite and >= 0")
+    if cfg.n_steps < 0:
+        raise ValueError("n_steps must be >= 0")
+    if cfg.record_stride < 1:
+        raise ValueError("record_stride must be >= 1")
+    for name in ("initial_point", "initial_velocity"):
+        value = getattr(cfg, name)
+        if value is not None:
+            object.__setattr__(cfg, name, tuple(float(x) for x in value))
+
+
 @dataclass(frozen=True)
 class PoissonSgdConfig:
-    """Hyperparameters of one run. ``c_p`` is always ``1/epsilon``.
+    """Hyperparameters of one run. ``c_p`` and ``floor`` are ``1/epsilon``.
 
     ``batch_size = 0`` means full batch. ``beta = 0`` is allowed: the rate is
     then the constant ``1/epsilon`` and the position law is driven by
     reflections only (useful as an exactly-solvable reference).
     """
+
+    kind: ClassVar[str] = "poisson_sgd"
+    counts: ClassVar[tuple[str, ...]] = ()
 
     beta: float
     epsilon: float
@@ -90,50 +110,24 @@ class PoissonSgdConfig:
     record_risk: bool = True
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.beta) and self.beta >= 0.0):
-            raise ValueError("beta must be finite and >= 0")
+        _check_chain_fields(self)
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ValueError("epsilon must be positive")
-        if self.n_steps < 0:
-            raise ValueError("n_steps must be >= 0")
         if self.batch_size < 0:
             raise ValueError("batch_size must be >= 0 (0 = full batch)")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
-        for name in ("initial_point", "initial_velocity"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, tuple(float(x) for x in value))
 
     @property
     def c_p(self) -> float:
         return 1.0 / self.epsilon
 
+    floor = c_p  # the constant part of the event rate
+
     def ceiling(self, grad_norm_bound: float) -> float:
         return self.beta * grad_norm_bound + self.c_p
 
-    def to_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "epsilon": self.epsilon,
-            "n_steps": self.n_steps,
-            "batch_size": self.batch_size,
-            "initial_point": None if self.initial_point is None else list(self.initial_point),
-            "initial_velocity": None
-            if self.initial_velocity is None
-            else list(self.initial_velocity),
-            "seed": self.seed,
-            "record_stride": self.record_stride,
-            "record_risk": self.record_risk,
-        }
-
-
-def _resolve_batch_size(objective: Objective, batch_size: int) -> int:
-    n = objective.n_samples
-    m = n if batch_size == 0 else batch_size
-    if not 1 <= m <= n:
-        raise ValueError(f"batch_size must lie in [1, {n}], got {batch_size}")
-    return m
+    def turn(self, vels: np.ndarray, grads: np.ndarray, rng: RngStream):
+        """Reflect every velocity about its gradient; no tags, no counts."""
+        return reflect(vels, grads), None, {}
 
 
 # ----------------------------------------------------------------------
@@ -172,49 +166,40 @@ def _sample_batches(gen: np.random.Generator, n_chains: int, n: int, m: int) -> 
     return np.sort(idx, axis=1).view(_SampledBatches)
 
 
-# A velocity turn maps (velocities (N, d), gradients at the new points (N, d))
-# to the turned velocities and either None or ``tags(i)``, the extra record
-# fields of chain i for this step; tags are built only on recorded steps.
-Turn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, Callable[[int], dict] | None]]
-
-
-def _reflect_turn(vels: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, None]:
-    return reflect(vels, grads), None
-
-
 def _run_chains(
     objective: Objective,
     cfg,
     n_chains: int,
-    rng: RngStream,
-    initial_points: np.ndarray | None,
-    initial_velocities: np.ndarray | None,
-    snapshot_steps: Sequence[int],
-    record_chains: Sequence[int],
-    *,
-    turn: Turn,
-    floor: float,
-    batch_size: int,
-    kind: str,
-    record_risk: bool,
+    rng: RngStream | None = None,
+    initial_points: np.ndarray | None = None,
+    initial_velocities: np.ndarray | None = None,
+    snapshot_steps: Sequence[int] = (),
+    record_chains: Sequence[int] = (),
 ) -> EnsembleResult:
-    """Advance ``n_chains`` independent chains in lock step.
+    """Advance ``n_chains`` independent chains of ``cfg``'s kind in lock step.
 
-    ``cfg`` supplies ``beta``, ``n_steps``, ``ceiling``, ``record_stride``
-    and the record header (``to_dict``); ``floor`` is the constant part of
-    the event rate. ``turn`` is the only step that differs between the
-    optimizer and the sampler.
+    ``cfg`` supplies ``beta``, ``n_steps``, ``floor`` (the constant part of
+    the event rate), ``ceiling``, ``batch_size``, ``record_stride``,
+    ``record_risk``, ``kind`` and the record header (its fields). Its
+    ``turn(vels, grads, rng)`` is the only step that differs between the
+    optimizer and the sampler. It maps the velocities and the gradients at
+    the new points to the turned velocities, either None or ``tags(i)`` (the
+    extra record fields of chain i, built only on recorded steps), and the
+    step's count for each name in ``cfg.counts``; each count's sum over the
+    run is reported as ``extras[name + "_fraction"]``, per chain-step.
 
     Each chain carries its own mini-batch sequence and its own event draws;
-    all randomness comes from ``rng``, consumed blockwise, which keeps the
-    whole ensemble reproducible from a single seed. Initial points default to
-    uniform on the domain, velocities to uniform on the sphere.
+    all randomness comes from ``rng`` (default ``RngStream(cfg.seed)``),
+    consumed blockwise, which keeps the whole ensemble reproducible from a
+    single seed. Initial points default to uniform on the domain, velocities
+    to uniform on the sphere.
 
-    Chains in ``record_chains`` get a ``RunRecord`` of kind ``kind`` holding
-    the steps with ``k % record_stride == 0`` plus step K (step 0 alone when
-    K = 0). Each row carries ``eta`` and ``grad_norm``, the mini-batch when
-    batches are drawn, ``risk`` when ``record_risk``, and the turn's tags.
-    A record's ``max_norm_deviation`` is the whole ensemble's.
+    Chains in ``record_chains`` get a ``RunRecord`` of kind ``cfg.kind``
+    holding the steps with ``k % record_stride == 0`` plus step K (step 0
+    alone when K = 0). Each row carries ``eta`` and ``grad_norm``, the
+    mini-batch when batches are drawn, ``risk`` when ``record_risk``, and
+    the turn's tags. A record's ``max_norm_deviation`` is the whole
+    ensemble's.
     """
     started = time.perf_counter()
     domain = objective.domain
@@ -222,6 +207,7 @@ def _run_chains(
     N = int(n_chains)
     if N < 1:
         raise ValueError("n_chains must be >= 1")
+    rng = RngStream(cfg.seed) if rng is None else rng
     gen = rng.generator
 
     if initial_points is None:
@@ -241,10 +227,14 @@ def _run_chains(
             raise ValueError("initial_velocities must be unit vectors")
         vels = vels / norms[:, None]
 
-    m = _resolve_batch_size(objective, batch_size)
-    per_chain_batches = m < objective.n_samples
+    n = objective.n_samples
+    m = cfg.batch_size or n
+    if not 1 <= m <= n:
+        raise ValueError(f"batch_size must lie in [1, {n}], got {cfg.batch_size}")
+    per_chain_batches = m < n
     full_field = objective.grad_field(None)
 
+    floor = cfg.floor
     ceiling = cfg.ceiling(objective.grad_norm_bound)
     # Local thinning bounds need a Lipschitz constant and pay off with a free
     # anchor: the rate at r = 0 of the next step's rays, known from this
@@ -270,16 +260,17 @@ def _run_chains(
     recorded = [int(i) for i in record_chains]
     if any(not 0 <= i < N for i in recorded):
         raise ValueError(f"record_chains must lie in [0, {N}), got {recorded}")
-    records = [RunRecord(kind=kind, config=cfg.to_dict(), stride=cfg.record_stride) for _ in recorded]
+    records = [RunRecord(kind=cfg.kind, config=asdict(cfg), stride=cfg.record_stride) for _ in recorded]
     if cfg.n_steps == 0:
         for rec, i in zip(records, recorded):
             rec.append(0, thetas[i], vels[i], force=True)
 
     max_dev = 0.0
     eta_sum = 0.0
+    totals = dict.fromkeys(cfg.counts, 0)
     for k in range(1, cfg.n_steps + 1):
         if per_chain_batches:
-            idx = _sample_batches(gen, N, objective.n_samples, m)
+            idx = _sample_batches(gen, N, n, m)
             fld = objective.grad_field(idx)
         else:
             fld = full_field
@@ -311,7 +302,9 @@ def _run_chains(
         thetas = domain.wrap(thetas + etas[:, None] * vels)
         grads = np.asarray(fld(thetas, rows=None), dtype=float)
         objective.check_grad_norms(grads)
-        vels, tags = turn(vels, grads)
+        vels, tags, counts = cfg.turn(vels, grads, rng)
+        for name, count in counts.items():
+            totals[name] += count
         norms = np.linalg.norm(vels, axis=1)
         max_dev = max(max_dev, float(np.max(np.abs(norms - 1.0))))
         vels = vels / norms[:, None]
@@ -324,7 +317,7 @@ def _run_chains(
                 row = {"grad_norm": float(np.linalg.norm(grads[i]))}
                 if per_chain_batches:
                     row["batch"] = idx[i].tolist()
-                if record_risk:
+                if cfg.record_risk:
                     row["risk"] = float(objective.empirical_risk(thetas[i]))
                 if tags is not None:
                     row.update(tags(i))
@@ -333,24 +326,31 @@ def _run_chains(
     for rec in records:
         rec.wall_time_s = time.perf_counter() - started
         rec.max_norm_deviation = max_dev
+    chain_steps = max(1, cfg.n_steps * N)
     return EnsembleResult(
         thetas=thetas,
         velocities=vels,
         n_steps=cfg.n_steps,
         max_norm_deviation=max_dev,
-        mean_eta=eta_sum / max(1, cfg.n_steps * N),
+        mean_eta=eta_sum / chain_steps,
         snapshots=snapshots,
+        extras={f"{name}_fraction": total / chain_steps for name, total in totals.items()},
         records=records,
     )
 
 
-def _initial_rows(cfg) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """A config's optional start point and velocity as one-chain arrays."""
+def _run_one(objective: Objective, cfg) -> RunRecord:
+    """The record of the single chain ``cfg`` describes."""
     point, velocity = cfg.initial_point, cfg.initial_velocity
-    return (
-        None if point is None else np.array([point], dtype=float),
-        None if velocity is None else np.array([velocity], dtype=float),
+    result = _run_chains(
+        objective,
+        cfg,
+        1,
+        initial_points=None if point is None else [point],
+        initial_velocities=None if velocity is None else [velocity],
+        record_chains=(0,),
     )
+    return result.records[0]
 
 
 def run_poisson_sgd_ensemble(
@@ -370,19 +370,7 @@ def run_poisson_sgd_ensemble(
     ``result.records``.
     """
     return _run_chains(
-        objective,
-        cfg,
-        n_chains,
-        RngStream(cfg.seed) if rng is None else rng,
-        initial_points,
-        initial_velocities,
-        snapshot_steps,
-        record_chains,
-        turn=_reflect_turn,
-        floor=cfg.c_p,
-        batch_size=cfg.batch_size,
-        kind="poisson_sgd",
-        record_risk=cfg.record_risk,
+        objective, cfg, n_chains, rng, initial_points, initial_velocities, snapshot_steps, record_chains
     )
 
 
@@ -395,20 +383,4 @@ def run_poisson_sgd(objective: Objective, cfg: PoissonSgdConfig) -> RunRecord:
     ``record_stride = 1`` retains every step and replaying the same config
     byte-reproduces the file.
     """
-    points, velocities = _initial_rows(cfg)
-    result = _run_chains(
-        objective,
-        cfg,
-        1,
-        RngStream(cfg.seed),
-        points,
-        velocities,
-        (),
-        (0,),
-        turn=_reflect_turn,
-        floor=cfg.c_p,
-        batch_size=cfg.batch_size,
-        kind="poisson_sgd",
-        record_risk=cfg.record_risk,
-    )
-    return result.records[0]
+    return _run_one(objective, cfg)

@@ -70,17 +70,10 @@ class RngStream:
         self.spawn_key = tuple(int(k) for k in self.spawn_key)
         seq = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
         self.generator = np.random.Generator(np.random.PCG64(seq))
-        self._spawned = 0
 
     def child(self, *key: int) -> "RngStream":
         """Independent stream addressed by a fixed integer path."""
         return RngStream(self.seed, self.spawn_key + tuple(int(k) for k in key))
-
-    def spawn(self, n: int) -> list["RngStream"]:
-        """n fresh independent child streams (counter keeps keys unique)."""
-        kids = [self.child(self._spawned + i) for i in range(int(n))]
-        self._spawned += int(n)
-        return kids
 
 
 def as_generator(rng) -> np.random.Generator:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -180,3 +182,50 @@ def test_single_chain_is_chain_zero_of_one_chain_ensemble():
     assert np.array_equal(rec.rows[-1]["v"], ens.velocities[0])
     assert rec.column("k").tolist() == [9, 18, 27, 36, 45, 54, 60]
 
+
+
+def test_record_header_is_the_config(tmp_path):
+    obj = quadratic_bowl([[2.0, 7.0]], side_lengths=10.0)
+    cfg = BpsConfig(
+        beta=0.7,
+        lambda_ref=1.0,
+        c_b=0.4,
+        n_steps=3,
+        epsilon=0.5,
+        seed=21,
+        initial_point=(4.0, 8.5),
+        initial_velocity=np.array([0.6, -0.8]),
+    )
+    rec = run_bps(obj, cfg)
+    assert rec.kind == "bps"
+    # batch_size and record_risk are constants of the sampler, not fields
+    assert rec.config == {
+        "beta": 0.7,
+        "lambda_ref": 1.0,
+        "c_b": 0.4,
+        "n_steps": 3,
+        "epsilon": 0.5,
+        "initial_point": [4.0, 8.5],
+        "initial_velocity": [0.6, -0.8],
+        "seed": 21,
+        "record_stride": 1,
+    }
+    assert all("risk" not in row and "batch" not in row for row in rec.rows)
+    rec.to_ndjson(tmp_path / "rec.ndjson")
+    header = json.loads((tmp_path / "rec.ndjson").read_text().splitlines()[0])
+    assert header["kind"] == "bps"
+    assert header["config"] == rec.config
+
+
+def test_refresh_fraction_is_the_only_extra_and_counts_refresh_events():
+    obj = double_well_2d()
+    cfg = BpsConfig(beta=0.002, lambda_ref=1.0, c_b=0.5, n_steps=25, seed=6)
+    n_chains = 12
+    res = run_bps_ensemble(obj, cfg, n_chains, record_chains=range(n_chains))
+    assert set(res.extras) == {"refresh_fraction"}
+    # every step of every chain is recorded, so the tags give the count
+    refreshes = sum(row["event"] == "refresh" for rec in res.records for row in rec.rows)
+    assert 0 < refreshes < n_chains * cfg.n_steps
+    assert res.extras["refresh_fraction"] == refreshes / (n_chains * cfg.n_steps)
+    idle = BpsConfig(beta=0.002, lambda_ref=1.0, c_b=0.5, n_steps=0)
+    assert run_bps_ensemble(obj, idle, n_chains).extras == {"refresh_fraction": 0.0}

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -116,6 +117,58 @@ def test_single_trial_refused_where_the_summary_needs_a_spread(kind):
     spec = {**TINY_CONFIGS[kind].to_dict(), "trials": 1}
     with pytest.raises(ValueError, match="trials >= 2"):
         ExperimentConfig.from_dict(spec)
+
+
+# protocols that a runner would misread: each must be refused up front
+MISREAD_PROTOCOLS = {
+    "baseline_unknown_algorithm": ("baseline", {"algorithm": "sgdl"}, "sgdl"),
+    "baseline_sgd_with_noise": ("baseline", {"algorithm": "sgd", "noise_scale": 5.0}, "noise_scale"),
+    "stationarity_long_chain_from_oracle": (
+        "stationarity",
+        {"mode": "long-chain", "init": "oracle"},
+        "init",
+    ),
+    "stationarity_bps_minibatch": ("stationarity", {"algorithm": "bps", "batch_size": 7}, "batch_size"),
+    "stationarity_unknown_algorithm": ("stationarity", {"algorithm": "bpss"}, "bpss"),
+    "escape_beta_zero_without_sgld_noise": ("escape", {"beta": 0.0}, "sgld_noise"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISREAD_PROTOCOLS))
+def test_misread_protocols_are_refused(case, tmp_path, capsys):
+    kind, override, named = MISREAD_PROTOCOLS[case]
+    base = TINY_CONFIGS[kind].to_dict()
+    spec = {**base, "protocol": {**base["protocol"], **override}}
+    with pytest.raises(ValueError, match=named):
+        ExperimentConfig.from_dict(spec)
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(spec))
+    out = tmp_path / "run"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_shipped_and_benchmark_configs_are_accepted():
+    root = Path(__file__).resolve().parents[1]
+    for path in sorted((root / "configs").glob("*.json")):
+        ExperimentConfig.from_json(path)
+    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        ExperimentConfig.from_dict(workloads.make_config(name, seed=1))
+    # a sampler run at full batch, an sgld baseline and an escape run with
+    # beta 0 and an explicit noise are all well defined
+    for kind, override in [
+        ("stationarity", {"algorithm": "bps", "batch_size": 0}),
+        ("stationarity", {"algorithm": "poisson_sgd", "batch_size": 7, "mode": "long-chain"}),
+        ("baseline", {"algorithm": "sgld", "noise_scale": 5.0}),
+        ("escape", {"beta": 0.0, "sgld_noise": 0.1}),
+    ]:
+        base = TINY_CONFIGS[kind].to_dict()
+        ExperimentConfig.from_dict({**base, "protocol": {**base["protocol"], **override}})
 
 
 @pytest.mark.parametrize("kind", sorted(EXPERIMENT_KINDS))

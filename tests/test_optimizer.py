@@ -1,4 +1,5 @@
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -269,3 +270,38 @@ def test_local_bounds_keep_every_draw():
     ceiling = run_bps_ensemble(blind, cfg, 500, rng=RngStream(12))
     assert np.array_equal(local.thetas, ceiling.thetas)
     assert np.array_equal(local.velocities, ceiling.velocities)
+
+
+def test_record_header_is_the_config_and_ensembles_report_no_extras(tmp_path):
+    obj = quadratic_bowl(np.arange(10, dtype=float).reshape(5, 2), side_lengths=25.0)
+    cfg = PoissonSgdConfig(
+        beta=0.05,
+        epsilon=0.5,
+        n_steps=6,
+        batch_size=3,
+        seed=2,
+        record_stride=2,
+        initial_point=np.array([4.0, 8.5]),
+        initial_velocity=[0.6, -0.8],
+    )
+    rec = run_poisson_sgd(obj, cfg)
+    assert rec.kind == "poisson_sgd"
+    assert rec.config == {
+        "beta": 0.05,
+        "epsilon": 0.5,
+        "n_steps": 6,
+        "batch_size": 3,
+        "initial_point": [4.0, 8.5],
+        "initial_velocity": [0.6, -0.8],
+        "seed": 2,
+        "record_stride": 2,
+        "record_risk": True,
+    }
+    rec.to_ndjson(tmp_path / "rec.ndjson")
+    header = json.loads((tmp_path / "rec.ndjson").read_text().splitlines()[0])
+    assert header["kind"] == "poisson_sgd"
+    assert header["config"] == rec.config
+    # the optimizer's turn counts nothing, so its ensembles carry no extras
+    for beta, batch_size, n_steps in [(0.05, 3, 6), (0.0, 0, 6), (0.05, 0, 0)]:
+        plain = PoissonSgdConfig(beta=beta, epsilon=0.5, n_steps=n_steps, batch_size=batch_size)
+        assert run_poisson_sgd_ensemble(obj, plain, 8, record_chains=[0]).extras == {}
