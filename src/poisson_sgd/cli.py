@@ -52,6 +52,14 @@ def _cell(v) -> str:
     return str(v)
 
 
+def _print_summary(summary: dict) -> None:
+    """The summary's table, then its other keys one per line."""
+    _print_table(summary.get("table", []))
+    for key, value in summary.items():
+        if key not in ("table", "kind", "config_hash"):
+            print(f"{key}: {value}")
+
+
 def _cmd_run(args) -> int:
     spec = json.loads(Path(args.config).read_text())
     out_dir = spec.pop("out_dir", None)
@@ -70,21 +78,14 @@ def _cmd_run(args) -> int:
         return 2
     print(f"running {cfg.kind} experiment {cfg.config_hash()} -> {out_dir}")
     print(f"workers: {workers}")
-    summary = run_experiment(cfg, out_dir)
-    _print_table(summary.get("table", []))
-    for key, value in summary.items():
-        if key not in ("table", "kind", "config_hash"):
-            print(f"{key}: {value}")
+    _print_summary(run_experiment(cfg, out_dir))
     return 0
 
 
 def _cmd_analyze(args) -> int:
     summary = analyze_experiment(args.run_dir)
     print(f"kind: {summary['kind']}  config: {summary['config_hash']}")
-    _print_table(summary.get("table", []))
-    for key, value in summary.items():
-        if key not in ("table", "kind", "config_hash"):
-            print(f"{key}: {value}")
+    _print_summary(summary)
     return 0
 
 

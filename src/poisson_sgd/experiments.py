@@ -6,15 +6,25 @@ SGD is stuck in), ``stationarity`` (does the step-K law match the closed-form
 density), ``beta_sweep`` (does final risk drop as beta grows),
 ``coupling`` (how far apart are the optimizer's and the sampler's step-K
 laws), ``generalization`` (does the train/test gap shrink with dataset
-size), and ``baseline`` (the reference optimizers alone). A config's
-``protocol`` overrides the kind's defaults and may name no other key; a
-value the kind's runner would misread is refused when the config is built.
+size), and ``baseline`` (the reference optimizers alone). A config names
+no top-level key but its six fields; its ``protocol`` overrides the kind's
+defaults and may name no other key; a value the kind's runner would
+misread is refused when the config is built.
 
-Every run writes raw artifacts first (endpoint arrays, records, reference
-grids), then derives all summary tables from those artifacts, so ``analyze``
-can rebuild every table from disk without rerunning anything. A manifest
-guards the directory: rerunning the same config is allowed and reproduces
-identical bytes; a different config hash refuses to touch the directory.
+``run_experiment`` owns the run directory. It resolves the protocol
+(``params``) and builds the objective once, then calls the kind's runner as
+``runner(cfg, params, objective, out)``. The runner writes raw artifacts
+(endpoint arrays, records, reference grids) only through ``out``:
+``out.save(name, array)`` writes an ``.npy`` file and ``out.file(name)``
+returns the path for a CSV or NDJSON writer; both list the name. A runner
+may resolve a defaulted value in ``params`` in place. When it returns,
+``run_experiment`` writes ``params.json`` and the manifest, whose artifact
+list is the names ``out`` recorded plus its own files. The analyzer,
+called as ``analyzer(cfg, params, objective, out_dir)``, derives every
+summary table from those artifacts, so ``analyze`` can rebuild them from
+disk without rerunning anything. A manifest guards the directory:
+rerunning the same config is allowed and reproduces identical bytes; a
+different config hash refuses to touch the directory.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +96,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown {self.kind} protocol keys {unknown}; known: {sorted(known)}"
             )
-        _refuse_misread(self.kind, self.params())
+        _refuse_misread(self.kind, self.params(), self.objective)
 
     def to_dict(self) -> dict:
         return {
@@ -100,6 +110,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "ExperimentConfig":
+        known = [f.name for f in fields(cls)]
+        unknown = sorted(set(spec) - set(known))
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}; known: {known}")
         return cls(
             kind=spec["kind"],
             objective=dict(spec["objective"]),
@@ -111,7 +125,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        """Parse a config file; its ``out_dir`` is the command line's and is dropped."""
+        spec = json.loads(Path(path).read_text())
+        spec.pop("out_dir", None)
+        return cls.from_dict(spec)
 
     def config_hash(self) -> str:
         return hashlib.sha256(canonical_json(self.to_dict()).encode()).hexdigest()[:16]
@@ -127,8 +144,8 @@ class ExperimentConfig:
         return {**EXPERIMENT_KINDS[self.kind][2](), **self.protocol}
 
 
-def _refuse_misread(kind: str, params: dict) -> None:
-    """Refuse protocol values that a kind's runner would silently misread."""
+def _refuse_misread(kind: str, params: dict, objective: dict) -> None:
+    """Refuse protocol values that a kind's runner would silently misread or ignore."""
 
     def require(key: str, allowed: tuple) -> None:
         if params[key] not in allowed:
@@ -140,8 +157,29 @@ def _refuse_misread(kind: str, params: dict) -> None:
         require("init", ("uniform", "oracle"))
         if params["mode"] == "long-chain" and params["init"] != "uniform":
             raise ValueError("stationarity long-chain mode starts its chain uniformly: init must be 'uniform'")
+        if params["mode"] == "long-chain" and params["checkpoints"] is not None:
+            raise ValueError("stationarity long-chain mode writes one cloud at n_steps: set no checkpoints")
+        if params["mode"] == "many-short-chains" and float(params["burn_in_fraction"]) != 0.2:
+            raise ValueError("only long-chain mode burns in: burn_in_fraction must keep its default 0.2")
         if params["algorithm"] == "bps" and int(params["batch_size"]) != 0:
             raise ValueError("the bps sampler runs full batch: batch_size must be 0")
+        if params["algorithm"] == "poisson_sgd" and float(params["c_b"]) != 0.0:
+            raise ValueError("c_b is a bps refresh constant: with algorithm poisson_sgd it must be 0")
+    elif kind == "generalization":
+        # the runner draws its own datasets from the protocol; the objective
+        # must name the same data so that the config says what ran
+        drawn = {
+            "name": "linreg_synthetic",
+            "d": int(params["d"]),
+            "noise": float(params["noise"]),
+            "side": float(params["side"]),
+        }
+        named = {"side": 6.0, **objective}  # linreg_synthetic's default side
+        if any(named.get(key) != value for key, value in drawn.items()):
+            raise ValueError(
+                f"generalization objective must be linreg_synthetic with the protocol's "
+                f"d, noise and side {drawn}, got {objective}"
+            )
     elif kind == "baseline":
         require("algorithm", ("sgd", "sgld"))
         if params["algorithm"] == "sgd" and float(params["noise_scale"]) != 0.0:
@@ -185,8 +223,19 @@ def _load_manifest(out_dir: Path) -> dict:
     return json.loads(path.read_text())
 
 
-def _save_cloud(path: Path, arr: np.ndarray) -> None:
-    np.save(path, np.ascontiguousarray(np.asarray(arr, dtype=float)))
+class _RunDir:
+    """A run directory that lists every artifact a runner writes into it."""
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self.names: list[str] = []
+
+    def file(self, name: str) -> Path:
+        self.names.append(name)
+        return self.path / name
+
+    def save(self, name: str, arr: np.ndarray) -> None:
+        np.save(self.file(name), np.ascontiguousarray(np.asarray(arr, dtype=float)))
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -312,16 +361,11 @@ def _escape_init(objective: Objective, params: dict, trials: int, rng: RngStream
     return objective.domain.wrap(center + offsets)
 
 
-def _run_escape(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
-    objective = cfg.build_objective()
-    params = cfg.params()
+def _run_escape(cfg: ExperimentConfig, params: dict, objective: Objective, out: _RunDir) -> None:
     trials = cfg.trials
     inits = _escape_init(objective, params, trials, cfg.stream(0))
     init_vels = uniform_sphere(objective.domain.dim, cfg.stream(1), trials)
-
-    artifacts = ["inits.npy", "params.json"]
-    _save_cloud(out_dir / "inits.npy", inits)
-    (out_dir / "params.json").write_text(canonical_json(params) + "\n")
+    out.save("inits.npy", inits)
 
     # the first few scored chains are recorded as trajectories for the figure
     n_traj = min(int(params["n_trajectories"]), trials)
@@ -342,30 +386,24 @@ def _run_escape(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
         initial_velocities=init_vels,
         record_chains=range(n_traj),
     )
-    _save_cloud(out_dir / "endpoints_poisson_sgd.npy", opt.thetas)
-    artifacts.append("endpoints_poisson_sgd.npy")
+    out.save("endpoints_poisson_sgd.npy", opt.thetas)
     for i, rec in enumerate(opt.records):
-        rec.to_csv(out_dir / f"trajectory_{i}.csv")
-        rec.to_ndjson(out_dir / f"trajectory_{i}.ndjson")
-        artifacts += [f"trajectory_{i}.csv", f"trajectory_{i}.ndjson"]
+        rec.to_csv(out.file(f"trajectory_{i}.csv"))
+        rec.to_ndjson(out.file(f"trajectory_{i}.ndjson"))
 
     rate = float(params["sgd_rate"])
     sgd = _run_sgd_ensemble(objective, rate, int(params["n_steps"]), inits, cfg.stream(3))
-    _save_cloud(out_dir / "endpoints_sgd.npy", sgd)
-    artifacts.append("endpoints_sgd.npy")
+    out.save("endpoints_sgd.npy", sgd)
 
     noise = params["sgld_noise"]
     noise = float(np.sqrt(2.0 * rate / float(params["beta"]))) if noise is None else float(noise)
     sgld = _run_sgd_ensemble(
         objective, rate, int(params["n_steps"]), inits, cfg.stream(4), noise_scale=noise
     )
-    _save_cloud(out_dir / "endpoints_sgld.npy", sgld)
-    artifacts.append("endpoints_sgld.npy")
-    return artifacts
+    out.save("endpoints_sgld.npy", sgld)
 
 
-def _analyze_escape(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    objective = cfg.build_objective()
+def _analyze_escape(cfg: ExperimentConfig, params: dict, objective: Objective, out_dir: Path) -> dict:
     rows = []
     for name in ("poisson_sgd", "sgd", "sgld"):
         thetas = np.load(out_dir / f"endpoints_{name}.npy")
@@ -414,26 +452,17 @@ def _geometric_checkpoints(n_steps: int) -> list[int]:
     return ks
 
 
-def _run_stationarity(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
-    objective = cfg.build_objective()
-    params = cfg.params()
+def _run_stationarity(cfg: ExperimentConfig, params: dict, objective: Objective, out: _RunDir) -> None:
     n_steps = int(params["n_steps"])
-    checkpoints = params["checkpoints"] or _geometric_checkpoints(n_steps)
-    checkpoints = sorted({int(k) for k in checkpoints})
+    checkpoints = sorted({int(k) for k in params["checkpoints"] or _geometric_checkpoints(n_steps)})
+    params["checkpoints"] = checkpoints  # params.json lists the steps kept
 
     density = StationaryDensity(objective, float(params["beta"]), float(params["epsilon"]))
     grid = density.grid()
-    (out_dir / "params.json").write_text(
-        canonical_json({**params, "checkpoints": checkpoints}) + "\n"
-    )
-    grid.coarsen((len(grid.edges[0]) - 1) // int(params["bins"])).to_csv(
-        out_dir / "reference_grid.csv"
-    )
-    artifacts = ["params.json", "reference_grid.csv"]
+    grid.coarsen((len(grid.edges[0]) - 1) // int(params["bins"])).to_csv(out.file("reference_grid.csv"))
 
     oracle = density.sample(int(params["oracle_samples"]), cfg.stream(5))
-    _save_cloud(out_dir / "oracle_sample.npy", oracle)
-    artifacts.append("oracle_sample.npy")
+    out.save("oracle_sample.npy", oracle)
 
     init_points = None
     if params["init"] == "oracle":
@@ -469,23 +498,17 @@ def _run_stationarity(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
             snapshot_steps=checkpoints,
         )
         for k, cloud in result.snapshots.items():
-            _save_cloud(out_dir / f"cloud_{k:08d}.npy", cloud)
-            artifacts.append(f"cloud_{k:08d}.npy")
+            out.save(f"cloud_{k:08d}.npy", cloud)
     else:
         # long-chain: one chain; thinned post-burn-in states stand in for the step-K law
         rec = run_single(objective, algo_cfg)
-        rec.to_ndjson(out_dir / "chain.ndjson")
-        artifacts.append("chain.ndjson")
+        rec.to_ndjson(out.file("chain.ndjson"))
         thetas = rec.column("theta")
         burn = int(len(thetas) * float(params["burn_in_fraction"]))
-        _save_cloud(out_dir / f"cloud_{n_steps:08d}.npy", thetas[burn:])
-        artifacts.append(f"cloud_{n_steps:08d}.npy")
-    return artifacts
+        out.save(f"cloud_{n_steps:08d}.npy", thetas[burn:])
 
 
-def _analyze_stationarity(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    objective = cfg.build_objective()
-    params = cfg.params()
+def _analyze_stationarity(cfg: ExperimentConfig, params: dict, objective: Objective, out_dir: Path) -> dict:
     density = StationaryDensity(objective, float(params["beta"]), float(params["epsilon"]))
     grid = density.grid()
     reference = grid.coarsen((len(grid.edges[0]) - 1) // int(params["bins"]))
@@ -547,11 +570,7 @@ def _beta_sweep_defaults() -> dict:
     }
 
 
-def _run_beta_sweep(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
-    objective = cfg.build_objective()
-    params = cfg.params()
-    (out_dir / "params.json").write_text(canonical_json(params) + "\n")
-    artifacts = ["params.json"]
+def _run_beta_sweep(cfg: ExperimentConfig, params: dict, objective: Objective, out: _RunDir) -> None:
     for i, beta in enumerate(params["betas"]):
         run_cfg = PoissonSgdConfig(
             beta=float(beta),
@@ -563,15 +582,10 @@ def _run_beta_sweep(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
         result = run_poisson_sgd_ensemble(
             objective, run_cfg, cfg.trials, rng=cfg.stream(10, i)
         )
-        name = f"endpoints_beta_{i}.npy"
-        _save_cloud(out_dir / name, result.thetas)
-        artifacts.append(name)
-    return artifacts
+        out.save(f"endpoints_beta_{i}.npy", result.thetas)
 
 
-def _analyze_beta_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    objective = cfg.build_objective()
-    params = cfg.params()
+def _analyze_beta_sweep(cfg: ExperimentConfig, params: dict, objective: Objective, out_dir: Path) -> dict:
     rows = []
     for i, beta in enumerate(params["betas"]):
         thetas = np.load(out_dir / f"endpoints_beta_{i}.npy")
@@ -597,11 +611,7 @@ def _coupling_defaults() -> dict:
     return {"beta": 1.0, "epsilons": [0.5, 0.25], "n_steps": 2000, "c_b": 0.0, "n_proj": 64}
 
 
-def _run_coupling(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
-    objective = cfg.build_objective()
-    params = cfg.params()
-    (out_dir / "params.json").write_text(canonical_json(params) + "\n")
-    artifacts = ["params.json"]
+def _run_coupling(cfg: ExperimentConfig, params: dict, objective: Objective, out: _RunDir) -> None:
     for i, eps in enumerate(params["epsilons"]):
         res = coupled_compare(
             objective,
@@ -613,14 +623,11 @@ def _run_coupling(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
             c_b=float(params["c_b"]),
             n_proj=int(params["n_proj"]),
         )
-        _save_cloud(out_dir / f"optimizer_cloud_{i}.npy", res.optimizer_thetas)
-        _save_cloud(out_dir / f"sampler_cloud_{i}.npy", res.sampler_thetas)
-        artifacts += [f"optimizer_cloud_{i}.npy", f"sampler_cloud_{i}.npy"]
-    return artifacts
+        out.save(f"optimizer_cloud_{i}.npy", res.optimizer_thetas)
+        out.save(f"sampler_cloud_{i}.npy", res.sampler_thetas)
 
 
-def _analyze_coupling(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    params = cfg.params()
+def _analyze_coupling(cfg: ExperimentConfig, params: dict, objective: Objective, out_dir: Path) -> dict:
     rows = []
     for i, eps in enumerate(params["epsilons"]):
         a = np.load(out_dir / f"optimizer_cloud_{i}.npy")
@@ -660,11 +667,8 @@ def make_linreg_with_holdout(
     return train, full.features[n:], full.targets[n:]
 
 
-def _generalization_trial(args) -> tuple[int, int, float, float]:
-    cfg_dict, n, trial = args
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    params = cfg.params()
-    dataset_seed = cfg.seed * 1000003 + trial
+def _generalization_trial(params: dict, seed: int, n: int, trial: int) -> tuple[int, int, float, float]:
+    dataset_seed = seed * 1000003 + trial
     train, X_test, y_test = make_linreg_with_holdout(
         n,
         int(params["n_test"]),
@@ -689,28 +693,24 @@ def _generalization_trial(args) -> tuple[int, int, float, float]:
     return n, trial, train_risk, test_risk
 
 
-def _run_generalization(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
-    params = cfg.params()
-    (out_dir / "params.json").write_text(canonical_json(params) + "\n")
+def _run_generalization(cfg: ExperimentConfig, params: dict, objective: Objective, out: _RunDir) -> None:
     jobs = [
-        (cfg.to_dict(), int(n), trial)
+        (params, cfg.seed, int(n), trial)
         for n in params["n_list"]
         for trial in range(cfg.trials)
     ]
     workers = worker_count()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_generalization_trial, jobs, chunksize=8))
+            results = list(pool.map(_generalization_trial, *zip(*jobs), chunksize=8))
     else:
-        results = [_generalization_trial(job) for job in jobs]
+        results = [_generalization_trial(*job) for job in jobs]
     rows = [[n, trial, train, test] for n, trial, train, test in results]
     rows.sort(key=lambda r: (r[0], r[1]))
-    _write_csv(out_dir / "risks.csv", ["n", "trial", "train_risk", "test_risk"], rows)
-    return ["params.json", "risks.csv"]
+    _write_csv(out.file("risks.csv"), ["n", "trial", "train_risk", "test_risk"], rows)
 
 
-def _analyze_generalization(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    params = cfg.params()
+def _analyze_generalization(cfg: ExperimentConfig, params: dict, objective: Objective, out_dir: Path) -> dict:
     data = np.genfromtxt(out_dir / "risks.csv", delimiter=",", names=True)
     rows = []
     for n in params["n_list"]:
@@ -737,12 +737,9 @@ def _baseline_defaults() -> dict:
     return {"algorithm": "sgd", "rate": 0.002, "noise_scale": 0.0, "n_steps": 10000, "batch_size": 0}
 
 
-def _run_baseline(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
-    objective = cfg.build_objective()
-    params = cfg.params()
-    (out_dir / "params.json").write_text(canonical_json(params) + "\n")
+def _run_baseline(cfg: ExperimentConfig, params: dict, objective: Objective, out: _RunDir) -> None:
     inits = objective.domain.sample_uniform(cfg.stream(13).generator, cfg.trials)
-    _save_cloud(out_dir / "inits.npy", inits)
+    out.save("inits.npy", inits)
     noise = float(params["noise_scale"]) if params["algorithm"] == "sgld" else 0.0
     endpoints = _run_sgd_ensemble(
         objective,
@@ -753,13 +750,10 @@ def _run_baseline(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
         noise_scale=noise,
         batch_size=int(params["batch_size"]),
     )
-    _save_cloud(out_dir / "endpoints.npy", endpoints)
-    return ["params.json", "inits.npy", "endpoints.npy"]
+    out.save("endpoints.npy", endpoints)
 
 
-def _analyze_baseline(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    objective = cfg.build_objective()
-    params = cfg.params()
+def _analyze_baseline(cfg: ExperimentConfig, params: dict, objective: Objective, out_dir: Path) -> dict:
     endpoints = np.load(out_dir / "endpoints.npy")
     risks = np.asarray(objective.empirical_risk(endpoints), dtype=float)
     row = {
@@ -795,9 +789,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     _check_manifest(out_dir, cfg)
     runner, _, _ = EXPERIMENT_KINDS[cfg.kind]
-    artifacts = runner(cfg, out_dir)
-    seeds = [cfg.seed]
-    _write_manifest(out_dir, cfg, seeds, artifacts + ["summary.csv", "summary.json", "plot.py"])
+    params = cfg.params()
+    out = _RunDir(out_dir)
+    runner(cfg, params, cfg.build_objective(), out)
+    out.file("params.json").write_text(canonical_json(params) + "\n")
+    _write_manifest(out_dir, cfg, [cfg.seed], out.names + ["summary.csv", "summary.json", "plot.py"])
     summary = analyze_experiment(out_dir)
     return summary
 
@@ -812,7 +808,7 @@ def analyze_experiment(out_dir) -> dict:
     manifest = _load_manifest(out_dir)
     cfg = ExperimentConfig.from_dict(manifest["config"])
     _, analyzer, _ = EXPERIMENT_KINDS[cfg.kind]
-    summary = analyzer(cfg, out_dir)
+    summary = analyzer(cfg, cfg.params(), cfg.build_objective(), out_dir)
     table = summary["table"]
     _write_csv(out_dir / "summary.csv", list(table[0]), [list(row.values()) for row in table])
     summary = {"kind": cfg.kind, "config_hash": manifest["config_hash"], **summary}

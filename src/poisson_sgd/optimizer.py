@@ -31,7 +31,6 @@ gradient already gives.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import asdict, dataclass, field
 from typing import ClassVar, Sequence
 
@@ -201,7 +200,6 @@ def _run_chains(
     the turn's tags. A record's ``max_norm_deviation`` is the whole
     ensemble's.
     """
-    started = time.perf_counter()
     domain = objective.domain
     d = domain.dim
     N = int(n_chains)
@@ -263,7 +261,7 @@ def _run_chains(
     records = [RunRecord(kind=cfg.kind, config=asdict(cfg), stride=cfg.record_stride) for _ in recorded]
     if cfg.n_steps == 0:
         for rec, i in zip(records, recorded):
-            rec.append(0, thetas[i], vels[i], force=True)
+            rec.append(0, thetas[i], vels[i])
 
     max_dev = 0.0
     eta_sum = 0.0
@@ -321,10 +319,9 @@ def _run_chains(
                     row["risk"] = float(objective.empirical_risk(thetas[i]))
                 if tags is not None:
                     row.update(tags(i))
-                rec.append(k, thetas[i], vels[i], eta=etas[i], force=True, **row)
+                rec.append(k, thetas[i], vels[i], eta=etas[i], **row)
 
     for rec in records:
-        rec.wall_time_s = time.perf_counter() - started
         rec.max_norm_deviation = max_dev
     chain_steps = max(1, cfg.n_steps * N)
     return EnsembleResult(

@@ -3,7 +3,7 @@
 Records accumulate in memory as columns and serialize as NDJSON: one header
 object, then one object per retained step, every line canonical JSON (sorted
 keys, no whitespace, no NaN). Identical runs therefore produce byte-identical
-files; wall-clock timings stay in memory and are never written.
+files; in-memory diagnostics are never written.
 """
 
 from __future__ import annotations
@@ -45,16 +45,15 @@ def _jsonify(value):
 class RunRecord:
     """Stride-thinned trajectory of one chain.
 
-    ``append`` is called every step; only steps with ``k % stride == 0`` (plus
-    any step flagged ``force=True``, e.g. the final one) are retained, so long
-    runs stay cheap to keep around while short diagnostic runs keep everything.
+    ``append`` keeps every row it is given; the chain loop decides which
+    steps to keep (multiples of ``stride`` plus the final step), and
+    ``stride`` is written in the header so a reader knows the spacing.
     """
 
     kind: str
     config: dict
     stride: int = 1
-    # in-memory diagnostics only; never serialized
-    wall_time_s: float | None = None
+    # in-memory diagnostic only; never serialized
     max_norm_deviation: float | None = None
     _rows: list[dict] = field(default_factory=list, repr=False)
 
@@ -63,9 +62,7 @@ class RunRecord:
             raise ValueError("stride must be >= 1")
         self.config = _jsonify(self.config)
 
-    def append(self, k: int, theta, velocity, eta: float | None = None, force: bool = False, **extras) -> None:
-        if k % self.stride and not force:
-            return
+    def append(self, k: int, theta, velocity, eta: float | None = None, **extras) -> None:
         row = {
             "k": int(k),
             "theta": np.asarray(theta, dtype=float).tolist(),

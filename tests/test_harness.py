@@ -68,6 +68,12 @@ TINY_CONFIGS = {
 }
 
 
+def _assert_manifest_lists_directory(run_dir: Path) -> None:
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    on_disk = sorted(p.name for p in run_dir.iterdir())
+    assert sorted(manifest["artifacts"] + ["manifest.json"]) == on_disk
+
+
 def _tree_digest(root: Path) -> str:
     h = hashlib.sha256()
     for p in sorted(root.rglob("*")):
@@ -112,6 +118,19 @@ def test_unknown_protocol_keys_are_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unknown_config_keys_are_refused(tmp_path, capsys):
+    spec = {**TINY_CONFIGS["baseline"].to_dict(), "protocl": {"n_steps": 5}}
+    with pytest.raises(ValueError, match="protocl"):
+        ExperimentConfig.from_dict(spec)
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(spec))
+    out = tmp_path / "run"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 2
+    assert "protocl" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["beta_sweep", "baseline", "generalization"])
 def test_single_trial_refused_where_the_summary_needs_a_spread(kind):
     spec = {**TINY_CONFIGS[kind].to_dict(), "trials": 1}
@@ -119,7 +138,10 @@ def test_single_trial_refused_where_the_summary_needs_a_spread(kind):
         ExperimentConfig.from_dict(spec)
 
 
-# protocols that a runner would misread: each must be refused up front
+# protocols that a runner would misread or ignore: each must be refused up
+# front; an "objective" entry replaces the config's objective, every other
+# entry overrides a protocol key
+LINREG = TINY_CONFIGS["generalization"].objective
 MISREAD_PROTOCOLS = {
     "baseline_unknown_algorithm": ("baseline", {"algorithm": "sgdl"}, "sgdl"),
     "baseline_sgd_with_noise": ("baseline", {"algorithm": "sgd", "noise_scale": 5.0}, "noise_scale"),
@@ -131,6 +153,17 @@ MISREAD_PROTOCOLS = {
     "stationarity_bps_minibatch": ("stationarity", {"algorithm": "bps", "batch_size": 7}, "batch_size"),
     "stationarity_unknown_algorithm": ("stationarity", {"algorithm": "bpss"}, "bpss"),
     "escape_beta_zero_without_sgld_noise": ("escape", {"beta": 0.0}, "sgld_noise"),
+    "stationarity_poisson_sgd_with_c_b": ("stationarity", {"algorithm": "poisson_sgd", "c_b": 0.5}, "c_b"),
+    "stationarity_short_chains_with_burn_in": ("stationarity", {"burn_in_fraction": 0.5}, "burn_in_fraction"),
+    "stationarity_long_chain_with_checkpoints": (
+        "stationarity",
+        {"mode": "long-chain", "checkpoints": [8, 24]},
+        "checkpoints",
+    ),
+    "generalization_unknown_objective": ("generalization", {"objective": {"name": "no_such_objective"}}, "objective"),
+    "generalization_objective_d_differs": ("generalization", {"objective": {**LINREG, "d": 3}}, "objective"),
+    "generalization_objective_noise_differs": ("generalization", {"objective": {**LINREG, "noise": 0.1}}, "objective"),
+    "generalization_objective_side_differs": ("generalization", {"objective": {**LINREG, "side": 5.0}}, "objective"),
 }
 
 
@@ -138,7 +171,9 @@ MISREAD_PROTOCOLS = {
 def test_misread_protocols_are_refused(case, tmp_path, capsys):
     kind, override, named = MISREAD_PROTOCOLS[case]
     base = TINY_CONFIGS[kind].to_dict()
-    spec = {**base, "protocol": {**base["protocol"], **override}}
+    override = dict(override)
+    objective = override.pop("objective", base["objective"])
+    spec = {**base, "objective": objective, "protocol": {**base["protocol"], **override}}
     with pytest.raises(ValueError, match=named):
         ExperimentConfig.from_dict(spec)
 
@@ -181,8 +216,7 @@ def test_kind_runs_and_reruns_byte_identically(kind, tmp_path):
 
     manifest = json.loads((dir_a / "manifest.json").read_text())
     assert manifest["config_hash"] == cfg.config_hash()
-    for name in manifest["artifacts"]:
-        assert (dir_a / name).exists(), name
+    _assert_manifest_lists_directory(dir_a)
     assert "summary.json" in manifest["artifacts"]
     assert "plot.py" in manifest["artifacts"]
 
@@ -236,6 +270,7 @@ def test_stationarity_long_chain_mode_carries_caveat(tmp_path):
     assert summary["mode"] == "long-chain"
     assert "ONE chain" in summary["long_chain_caveat"]
     assert (tmp_path / "chain.ndjson").exists()
+    _assert_manifest_lists_directory(tmp_path)
     clouds = list(tmp_path.glob("cloud_*.npy"))
     assert len(clouds) == 1
     # burn-in trimmed: 400 states recorded, 20% dropped

@@ -1,8 +1,11 @@
 """Digests of every tiny experiment's artifacts and of direct runner results.
 
 Prints one ``name sha256`` line per artifact of each ``TINY_CONFIGS`` run
-(``tests/test_harness.py``; manifests and config hashes included) and per
-direct call of the chain runners: both ensembles with snapshots and records,
+(``tests/test_harness.py``; manifests and config hashes included), of three
+runs that reach branches those configs do not (``EXTRA_CONFIGS``: a
+long-chain stationarity run, a Poisson SGD stationarity run started from
+the oracle, and a generalization run on a two-process pool), and per direct
+call of the chain runners: both ensembles with snapshots and records,
 beta = 0 ensembles of both kinds, a mini-batch ensemble, a sampler whose
 ceiling is many floors high, four single-chain records and
 ``coupled_compare``. A change that must keep every draw and every byte
@@ -20,6 +23,7 @@ a few seconds.
 from __future__ import annotations
 
 import hashlib
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -29,7 +33,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from poisson_sgd.bps import BpsConfig, coupled_compare, run_bps, run_bps_ensemble  # noqa: E402
-from poisson_sgd.experiments import run_experiment  # noqa: E402
+from poisson_sgd.experiments import WORKERS_ENV, ExperimentConfig, run_experiment  # noqa: E402
 from poisson_sgd.objectives import double_well_1d, double_well_2d, quadratic_bowl  # noqa: E402
 from poisson_sgd.optimizer import (  # noqa: E402
     PoissonSgdConfig,
@@ -60,15 +64,31 @@ def _ensemble_digest(res) -> str:
     return h.hexdigest()
 
 
+def _with_protocol(kind: str, **protocol) -> ExperimentConfig:
+    base = TINY_CONFIGS[kind].to_dict()
+    return ExperimentConfig.from_dict({**base, "protocol": {**base["protocol"], **protocol}})
+
+
+# name -> (config, worker processes)
+EXTRA_CONFIGS = {
+    "stationarity_long_chain": (_with_protocol("stationarity", mode="long-chain", n_steps=200), 1),
+    "stationarity_poisson_sgd_oracle": (_with_protocol("stationarity", algorithm="poisson_sgd", init="oracle"), 1),
+    "generalization_two_workers": (TINY_CONFIGS["generalization"], 2),
+}
+
+
 def artifact_lines() -> list[str]:
+    runs = {kind: (cfg, 1) for kind, cfg in TINY_CONFIGS.items()}
+    runs.update(EXTRA_CONFIGS)
     lines = []
     with tempfile.TemporaryDirectory() as scratch:
-        for kind, cfg in sorted(TINY_CONFIGS.items()):
-            out = Path(scratch) / kind
+        for name, (cfg, workers) in sorted(runs.items()):
+            os.environ[WORKERS_ENV] = str(workers)
+            out = Path(scratch) / name
             run_experiment(cfg, out)
             for path in sorted(p for p in out.rglob("*") if p.is_file()):
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                lines.append(f"artifact {kind}/{path.relative_to(out).as_posix()} {digest}")
+                lines.append(f"artifact {name}/{path.relative_to(out).as_posix()} {digest}")
     return lines
 
 
