@@ -47,6 +47,7 @@ class TorusDomain:
         arr = sides.astype(float).copy()
         arr.setflags(write=False)
         object.__setattr__(self, "_sides", arr)
+        object.__setattr__(self, "_least_side", float(arr.min()))
 
     @property
     def sides(self) -> np.ndarray:
@@ -64,13 +65,23 @@ class TorusDomain:
         """Reduce each coordinate modulo its side length into ``[0, s_i)``.
 
         Idempotent and exact for points already in the box; works on any
-        array with a trailing coordinate axis.
+        array with a trailing coordinate axis. When every coordinate lies
+        strictly inside the box, which ``np.mod`` would leave unchanged, the
+        input array itself is returned.
         """
         raw = np.asarray(raw, dtype=float)
         self._check_points(raw, "point")
-        wrapped = np.mod(raw, self.sides)
+        if raw.size and raw.min() > 0.0 and raw.max() < self._least_side:
+            return raw
+        # only coordinates that left the box (or sit on 0.0, which np.mod
+        # turns into +0.0) are reduced
+        out = (raw <= 0.0) | (raw >= self.sides)
+        sides = np.broadcast_to(self.sides, raw.shape)[out]
+        wrapped = np.mod(raw[out], sides)
+        result = raw.copy()
         # float mod of a tiny negative lands exactly on the side length
-        return np.where(wrapped >= self.sides, 0.0, wrapped)
+        result[out] = np.where(wrapped >= sides, 0.0, wrapped)
+        return result
 
     def distance(self, a, b):
         """Geodesic distance: Euclidean norm of the per-coordinate minimal

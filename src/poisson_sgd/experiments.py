@@ -45,7 +45,7 @@ from .objectives import LinearRegressionObjective, Objective, build_objective, l
 from .optimizer import PoissonSgdConfig, _sample_batches, run_poisson_sgd, run_poisson_sgd_ensemble
 from .records import canonical_json
 from .sampler import RngStream, uniform_sphere
-from .stationary import StationaryDensity, grid_mean_risk
+from .stationary import DEFAULT_RESOLUTIONS, StationaryDensity, grid_mean_risk
 
 __all__ = [
     "ExperimentConfig",
@@ -165,6 +165,13 @@ def _refuse_misread(kind: str, params: dict, objective: dict) -> None:
             raise ValueError("the bps sampler runs full batch: batch_size must be 0")
         if params["algorithm"] == "poisson_sgd" and float(params["c_b"]) != 0.0:
             raise ValueError("c_b is a bps refresh constant: with algorithm poisson_sgd it must be 0")
+        # the reference histogram merges whole cells of the normalization grid
+        cells = DEFAULT_RESOLUTIONS.get(build_objective(objective).domain.dim)
+        bins = int(params["bins"])
+        if cells is not None and not (1 <= bins <= cells and cells % bins == 0):
+            raise ValueError(
+                f"stationarity bins {bins} must divide the reference grid's {cells} cells per dimension"
+            )
     elif kind == "generalization":
         # the runner draws its own datasets from the protocol; the objective
         # must name the same data so that the config says what ran

@@ -47,10 +47,11 @@ class ObjectiveMetadata:
     """Optional smoothness constants: a Lipschitz constant of the per-sample
     gradient inside the box (seams aside).
 
-    When set, full-batch chains skip the rate evaluations that local bounds
-    built from it make unnecessary, without changing a draw; an evaluated
-    rate above such a bound raises ``RateBoundError``, so a false constant
-    aborts a run instead of biasing it. None evaluates every proposal.
+    When set, full-batch chains skip the rate evaluations that two-sided
+    local bounds built from it make unnecessary, without changing a draw;
+    an evaluated rate outside such bounds raises ``RateBoundError``, so a
+    false constant aborts a run instead of biasing it. None bounds the rates
+    by their envelope alone.
     """
 
     lipschitz_c1: float | None = None

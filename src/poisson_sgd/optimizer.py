@@ -20,12 +20,17 @@ refreshes and counts its refreshes, which the loop reports in ``extras``.
 records of selected chains, and ``run_poisson_sgd`` is the one-chain case
 that returns that chain's record.
 
-With a full batch, an objective that declares a Lipschitz constant and a
-ceiling at least ``LOCAL_BOUND_MIN_SPREAD`` floors high, thinning skips
-the rate evaluation of proposals that a local bound already rejects, up to
-each ray's first seam (see :mod:`poisson_sgd.sampler`); the draws do not
-change. Each step after the first is anchored at the rate its reflection
-gradient already gives.
+Thinning evaluates a rate only where the proposal's bounds leave it
+undecided, and only before the ray's first sure acceptance (see
+:mod:`poisson_sgd.sampler`); the draws do not change. The bounds are the
+envelope ``[floor, ceiling]``. With a full batch, an objective that
+declares a Lipschitz constant and a ceiling at least
+``LOCAL_BOUND_MIN_SPREAD`` floors high, they narrow to two-sided local
+bounds up to each ray's first seam, anchored from the second step on at the
+rate the reflection gradient already gives. Full-batch rates are evaluated
+as a flat list of proposals; per-chain mini-batch rates, whose matmuls round
+a single column differently from a block, in rectangles of at least two
+columns.
 """
 
 from __future__ import annotations
@@ -65,10 +70,12 @@ def reflect(v, g, tol: float = ZERO_GRAD_TOL):
     v = np.asarray(v, dtype=float)
     g = np.asarray(g, dtype=float)
     sq = np.einsum("...d,...d->...", g, g)
+    coef = 2.0 * np.einsum("...d,...d->...", g, v)
     defined = sq > tol * tol
-    coef = np.where(
-        defined, 2.0 * np.einsum("...d,...d->...", g, v) / np.where(defined, sq, 1.0), 0.0
-    )
+    if defined.all():
+        coef = coef / sq
+    else:
+        coef = np.where(defined, coef / np.where(defined, sq, 1.0), 0.0)
     return v - coef[..., None] * g
 
 
@@ -238,9 +245,9 @@ def _run_chains(
     # anchor: the rate at r = 0 of the next step's rays, known from this
     # step's reflection gradients because both use the full-batch field.
     # Per-chain batches change the field every step, so they have no free
-    # anchor and evaluate every proposal. The bounds save evaluations only
-    # when most ceiling proposals are rejected, i.e. the ceiling is many
-    # floors high (never for coupled BPS, whose ceiling is below two floors).
+    # anchor and thin against the envelope alone. The local bounds save more
+    # than their bookkeeping costs only when the ceiling is many floors high
+    # (never for coupled BPS, whose ceiling is below two floors).
     lipschitz = objective.metadata.lipschitz_c1
     local_bounds = (
         lipschitz is not None
@@ -250,6 +257,16 @@ def _run_chains(
     )
     slope = cfg.beta * lipschitz if local_bounds else None
     anchors = None
+    fld = full_field
+
+    def rate_rows(radii: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # reads the step's thetas, vels and field when thinning calls it
+        heading = vels[rows]
+        pts = thetas[rows, None, :] + radii[..., None] * heading[:, None, :]
+        grads = fld(domain.wrap(pts), rows=rows)
+        proj = np.einsum("kbd,kd->kb", grads, heading)
+        return cfg.beta * np.maximum(proj, 0.0) + floor
+
     wanted = {int(s) for s in snapshot_steps}
     snapshots: dict[int, np.ndarray] = {}
     if 0 in wanted:
@@ -270,20 +287,11 @@ def _run_chains(
         if per_chain_batches:
             idx = _sample_batches(gen, N, n, m)
             fld = objective.grad_field(idx)
-        else:
-            fld = full_field
 
         if cfg.beta == 0.0:
             # rate is exactly the constant floor: draw directly
             etas = gen.exponential(1.0 / floor, size=N)
         else:
-
-            def rate_rows(radii: np.ndarray, rows: np.ndarray) -> np.ndarray:
-                pts = thetas[rows, None, :] + radii[..., None] * vels[rows, None, :]
-                grads = fld(domain.wrap(pts), rows=rows)
-                proj = np.einsum("kbd,kd->kb", grads, vels[rows])
-                return cfg.beta * np.maximum(proj, 0.0) + floor
-
             seams = domain.first_seam_radii(thetas, vels) if local_bounds else None
             etas = thin_first_arrivals(
                 rate_rows,
@@ -294,6 +302,7 @@ def _run_chains(
                 slope=slope,
                 anchor_rates=anchors,
                 seam_radii=seams,
+                flat=not per_chain_batches,
             )
         eta_sum += float(etas.sum())
 

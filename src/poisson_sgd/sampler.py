@@ -8,21 +8,27 @@ quadrature (test oracle). They share no code beyond the rate callable.
 
 Thinning proposes at the global ceiling ``beta * M + C`` (``M`` bounds
 ``||g||`` on the whole domain), which always dominates, and accepts a
-proposal when its uniform ``u`` gives ``u * ceiling < rate``. Most proposals
-need no rate evaluation: if ``g`` is ``L``-Lipschitz, the rate grows by at
-most ``beta * L`` per unit radius, so ``q_a + beta * L * (r - r_a)`` bounds
-it past any anchor radius ``r_a`` whose rate ``q_a`` is known, and a
-proposal with ``u * ceiling`` above that local bound is rejected unseen.
-The draws stay exactly those of the ceiling path; only the evaluations
-shrink. On the torus ``g`` jumps where the ray crosses a seam, so a local
-bound holds only up to the ray's first seam crossing
-(``TorusDomain.first_seam_radii``, moved inward by a margin that
-floating-point rounding cannot cross); past it every proposal is evaluated.
-A row that draws again re-anchors at its last evaluated proposal. The chain
-loop supplies the first anchor for free: with a full batch the rate at
-``r = 0`` follows from the gradient of the previous reflection, taken at the
-same point with the same field. Every evaluated rate is checked against its
-local bound, so a false ``L`` aborts the run (``RateBoundError``).
+proposal when its level ``u * ceiling`` lies below the rate. Most proposals
+need no rate evaluation, because each has two-sided bounds on its rate that
+often decide it alone: a level below the lower bound is accepted whatever
+the rate, one at or above the upper bound is rejected, and a row stops
+evaluating at its first sure acceptance. The bounds are the envelope
+``[C, ceiling]``, narrowed by a Lipschitz constant: if ``g`` is
+``L``-Lipschitz the rate moves by at most ``beta * L`` per unit radius, so
+``q_a -/+ beta * L * (r - r_a)`` bound it past any anchor radius ``r_a``
+whose rate ``q_a`` is known. The draws stay exactly those of evaluating
+every proposal; only the evaluations shrink. On the torus ``g`` jumps where
+the ray crosses a seam, so a local bound holds only up to the ray's first
+seam crossing (``TorusDomain.first_seam_radii``, moved inward by a margin
+that floating-point rounding cannot cross); past it only the envelope
+decides. A row that draws again re-anchors at its last evaluated proposal.
+The chain loop supplies the first anchor for free: with a full batch the
+rate at ``r = 0`` follows from the gradient of the previous reflection,
+taken at the same point with the same field. Every evaluated rate is
+checked against both local bounds, so a false ``L`` aborts the run
+(``RateBoundError``). Rates of per-chain mini-batch fields round
+differently for a single column than for a block, so they are evaluated in
+rectangular prefixes of at least two columns, never as a flat list.
 """
 
 from __future__ import annotations
@@ -109,8 +115,7 @@ def uniform_sphere(d: int, rng, size: int | None = None) -> np.ndarray:
 def _check_rate_envelope(values: np.ndarray, floor: float, ceiling: float) -> None:
     if values.size == 0:
         return
-    vmax = float(np.max(values))
-    vmin = float(np.min(values))
+    vmin, vmax = float(values.min()), float(values.max())
     if not math.isfinite(vmax) or vmax > ceiling * (1.0 + _RTOL) + 1e-12:
         raise RateBoundError(
             f"rate {vmax:.6g} exceeds ceiling {ceiling:.6g}: the declared "
@@ -199,45 +204,63 @@ def thin_first_arrivals(
     slope: float | None = None,
     anchor_rates: np.ndarray | None = None,
     seam_radii: np.ndarray | None = None,
+    flat: bool = True,
 ) -> np.ndarray:
     """Vectorized exact first arrivals of inhomogeneous exponential laws.
 
     Each round draws ``block`` proposals per ray from the homogeneous
-    Exp(ceiling) process and a uniform ``u`` per proposal; a proposal is
-    accepted when ``u * ceiling < rate``, and the first accepted one has
-    exactly the target law (classic thinning). Termination is a.s. because
-    acceptance probability >= floor/ceiling > 0.
+    Exp(ceiling) process and a level ``u * ceiling`` per proposal; a
+    proposal is accepted when its level lies below the rate there, and the
+    first accepted one has exactly the target law (classic thinning).
+    Termination is a.s. because acceptance probability >= floor/ceiling > 0.
 
-    With ``slope``, a proposal is evaluated only if ``u * ceiling`` lies
-    below its local bound ``q_a + slope * (r - r_a)``, where ``q_a`` is the
-    known rate at the row's anchor radius ``r_a``: the rate never exceeds
-    that bound, so no other proposal can be accepted (a squeeze). The draws
-    are therefore exactly those of the ceiling path on the same stream, at
-    a fraction of its rate evaluations. The bound holds while the rate is
-    ``slope``-Lipschitz in r, i.e. below the row's seam radius; past it, or
-    before a row has an anchor, every proposal is evaluated. A row that
-    draws again re-anchors at its last evaluated proposal before its seam.
-    Every evaluated rate is checked against its local bound as well as the
-    envelope, so a false ``slope`` raises ``RateBoundError``.
+    Every proposal gets a lower and an upper bound on its rate before any
+    rate is evaluated: ``[floor, ceiling]``, narrowed with ``slope`` to
+    ``[max(floor, q_a - slope * (r - r_a)), min(ceiling, q_a + slope * (r -
+    r_a))]`` below the row's seam, where ``q_a`` is the known rate at the
+    row's anchor radius ``r_a``. A proposal whose level lies below its lower
+    bound is accepted surely, one whose level reaches its upper bound is
+    rejected surely, and only the undecided proposals before a row's first
+    sure acceptance are evaluated; the row's arrival is its first accepted
+    proposal, sure or evaluated. The draws are therefore exactly those of
+    evaluating every proposal on the same stream, at a fraction of the rate
+    evaluations. The local bounds hold while the rate is ``slope``-Lipschitz
+    in r, i.e. below the row's seam radius; past it, or before a row has an
+    anchor, they widen to the envelope. A row that draws again re-anchors at
+    its last evaluated proposal before its seam. Every evaluated rate is
+    checked against both local bounds as well as the envelope, so a false
+    ``slope`` raises ``RateBoundError`` whichever side it breaks.
+
+    The evaluated proposals go to ``rate_rows`` as a flat list (one column,
+    rows repeating) when ``flat``. A callback whose rounding depends on how
+    many columns it gets (per-chain mini-batch matmuls, which round a single
+    column differently) takes ``flat=False`` instead: each round it gets one
+    rectangle, the rows whose first proposal is not a sure acceptance by
+    the columns before the latest first sure acceptance among them (all
+    columns if a row has none), widened to at least two columns (all of
+    them if ``block`` is 1), so every rate it returns has the bits of a
+    full-block evaluation.
 
     Args:
         rate_rows: callback mapping (radii (k, B), rows (k,)) -> rates (k, B),
             where ``rows`` indexes which of the n rays each radii row belongs
-            to (with a slope, rows may repeat and B is 1). Rates must respect
-            the shared [floor, ceiling] envelope.
+            to (rows may repeat when ``flat``, with B = 1). Rates must
+            respect the shared [floor, ceiling] envelope.
         n: number of independent rays.
         floor, ceiling: shared positive rate envelope.
         rng: stream consumed by the draws.
         block: proposals drawn per ray per round; default sized so one round
             usually suffices.
         slope: Lipschitz constant of every rate in r between seams. None
-            evaluates every proposal.
+            bounds every rate by the envelope alone.
         anchor_rates: (n,) rates at radius 0, which anchor each row's local
-            bound from the start; None leaves rows unanchored until they
+            bounds from the start; None leaves rows unanchored until they
             draw again.
         seam_radii: (n,) radii below which the rates are ``slope``-Lipschitz
             (+inf when they never jump); a row at or past its seam has no
             local bound. Required with ``slope``.
+        flat: evaluate a flat list of proposals (True) or rectangular
+            prefixes of at least two columns (False), see above.
 
     Returns:
         (n,) array of arrival radii.
@@ -254,67 +277,93 @@ def thin_first_arrivals(
     if block is None:
         block = int(min(max(math.ceil(1.3 * ceiling / floor) + 2, 4), 4096))
     gen = as_generator(rng)
-    eta = np.full(n, np.nan)
+    eta = np.empty(n)
     offsets = np.zeros(n)
     active = np.arange(n)
+    # every bound is widened by the checks' rounding tolerance, so a rate
+    # that passes its checks always agrees with its proposal's sure decision
+    tol = _RTOL * ceiling + 1e-12
     if slope is not None:
         seams = np.asarray(seam_radii, dtype=float)
         if seams.shape != (n,):
             raise ValueError(f"seam_radii must have shape ({n},)")
-        # Row i's local bound at a radius r below seams[i] is
-        # margins[i] - tol + slope * r, where margins[i] = q_a - slope * r_a
-        # + tol from its anchor (r_a, q_a) and tol is the checks' rounding
-        # tolerance; margins[i] is +inf while the row has no anchor.
-        tol = _RTOL * ceiling + 1e-12
-        margins = np.full(n, np.inf)
+        # Row i's local bounds at a radius r below seams[i] are
+        # [lows[i] + tol - slope * r, highs[i] - tol + slope * r], where
+        # lows[i] = q_a + slope * r_a - tol and highs[i] = q_a - slope * r_a
+        # + tol from its anchor (r_a, q_a); they are -inf and +inf while the
+        # row has no anchor.
+        lows = np.full(n, -np.inf)
+        highs = np.full(n, np.inf)
         if anchor_rates is not None:
             anchor_q = np.asarray(anchor_rates, dtype=float)
             if anchor_q.shape != (n,):
                 raise ValueError(f"anchor_rates must have shape ({n},)")
             _check_rate_envelope(anchor_q, floor, ceiling)
-            margins = np.where(seams > 0.0, anchor_q + tol, np.inf)
+            anchored = seams > 0.0
+            lows = np.where(anchored, anchor_q - tol, -np.inf)
+            highs = np.where(anchored, anchor_q + tol, np.inf)
     proposed = 0
     while active.size:
         k = active.size
         gaps = gen.exponential(1.0 / ceiling, size=(k, block))
         radii = offsets[active, None] + np.cumsum(gaps, axis=1)
-        if slope is None:
-            rates = _evaluate(rate_rows, radii, active)
-            _check_rate_envelope(rates, floor, ceiling)
-            accept = gen.random((k, block)) * ceiling < rates
-            hit = accept.any(axis=1)
-            first = accept.argmax(axis=1)
-            eta[active[hit]] = radii[hit, first[hit]]
+        levels = gen.random((k, block)) * ceiling
+        # a level below the floor is accepted whatever the rate
+        accept = levels < floor - tol
+        if slope is not None:
+            tilt = slope * radii
+            bounded = radii < seams[active, None]
+            accept |= (levels + tilt < lows[active, None]) & bounded
+            undecided = (levels - tilt < highs[active, None]) | ~bounded
+        # evaluate the undecided proposals before each row's first sure
+        # acceptance: nothing after it can change the row's arrival
+        settled = np.logical_or.accumulate(accept, axis=1)
+        if flat:
+            need = ~settled
+            if slope is not None:
+                need &= undecided
+            rows, cols = np.nonzero(need)
+            at = rows[:, None], cols[:, None]
         else:
-            levels = gen.random((k, block)) * ceiling
-            # a proposal whose level reaches its row's local bound cannot be
-            # accepted, since the rate never exceeds that bound: only the
-            # others (and all those past the seam) are evaluated
-            row_seams = seams[active]
-            rows, cols = np.nonzero(
-                (levels - slope * radii < margins[active, None]) | (radii >= row_seams[:, None])
-            )
-            owners, r_eval = active[rows], radii[rows, cols]
-            rates = _evaluate(rate_rows, r_eval[:, None], owners)[:, 0] if rows.size else r_eval
+            # one rectangle: the unsettled rows, up to the last row's settling
+            done = np.logical_and.reduce(settled, axis=0)
+            width = min(block, max(2, int(done.argmax()) if done[-1] else block))
+            rows = (~settled[:, 0]).nonzero()[0]
+            at = rows if rows.size < k else slice(None), slice(0, width)
+        if rows.size:
+            owners, r_eval = active[rows], radii[at]
+            rates = _evaluate(rate_rows, r_eval, owners)
             _check_rate_envelope(rates, floor, ceiling)
-            excess = rates - slope * r_eval
-            bounded = r_eval < row_seams[rows]
-            _check_local_bound(rates, (excess >= margins[owners]) & bounded)
-            accept = np.zeros((k, block), dtype=bool)
-            accept[rows, cols] = levels[rows, cols] < rates
-            hit = accept.any(axis=1)
-            first = accept.argmax(axis=1)
-            eta[active[hit]] = radii[hit, first[hit]]
-            # each row re-anchors at its last evaluated proposal (np.nonzero
-            # lists them row by row, in radius order)
-            if rows.size:
-                last = np.append(np.flatnonzero(rows[1:] != rows[:-1]), rows.size - 1)
-                margins[owners[last]] = np.where(bounded[last], excess[last] + tol, np.inf)
-        offsets[active[~hit]] = radii[~hit, -1]
-        active = active[~hit]
+            if slope is not None:
+                tilt = slope * r_eval
+                excess, lifted = rates - tilt, rates + tilt
+                bounded = r_eval < seams[owners, None]
+                _check_local_bounds(
+                    rates,
+                    ((lifted < lows[owners, None]) | (excess >= highs[owners, None])) & bounded,
+                )
+                # each row re-anchors at its last evaluated proposal
+                # (np.nonzero lists them row by row, in radius order)
+                if flat:
+                    last = np.append(np.flatnonzero(rows[1:] != rows[:-1]), rows.size - 1)
+                else:
+                    last = slice(None)
+                ends, keep = owners[last], bounded[last, -1]
+                lows[ends] = np.where(keep, lifted[last, -1] - tol, -np.inf)
+                highs[ends] = np.where(keep, excess[last, -1] + tol, np.inf)
+            accept[at] = levels[at] < rates
+        hit = accept.any(axis=1)
+        first = accept.argmax(axis=1)
         proposed += k * block
         if proposed > max_proposals:
             raise RateBoundError("thinning exceeded its proposal budget")
+        if hit.all():
+            eta[active] = radii[np.arange(k), first]
+            break
+        eta[active[hit]] = radii[hit, first[hit]]
+        miss = ~hit
+        offsets[active[miss]] = radii[miss, -1]
+        active = active[miss]
     return eta
 
 
@@ -325,11 +374,11 @@ def _evaluate(rate_rows, radii: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return rates
 
 
-def _check_local_bound(rates: np.ndarray, over: np.ndarray) -> None:
-    if over.any():
-        i = int(over.argmax())
+def _check_local_bounds(rates: np.ndarray, outside: np.ndarray) -> None:
+    if outside.any():
+        i = np.unravel_index(int(outside.argmax()), outside.shape)
         raise RateBoundError(
-            f"rate {rates[i]:.6g} exceeds its local bound: the declared Lipschitz "
+            f"rate {rates[i]:.6g} lies outside its local bounds: the declared Lipschitz "
             "constant is false; aborting instead of drawing biased times"
         )
 

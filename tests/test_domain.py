@@ -28,6 +28,21 @@ def test_wrap_negative_epsilon_stays_in_box():
     assert 0.0 <= w[0] < 10.0
 
 
+def test_wrap_matches_the_modulo_reference_bit_for_bit():
+    # wrap skips np.mod for coordinates inside the box; the bytes must stay
+    # those of reducing every coordinate (-0.0 included, which np.mod
+    # turns into +0.0)
+    dom = TorusDomain(3, (4.0, 5.0, 6.0))
+    rng = np.random.default_rng(2)
+    inside = rng.random((200, 3)) * dom.sides
+    mixed = rng.normal(scale=8.0, size=(200, 3))
+    mixed[:5] = [[0.0, -0.0, 6.0], [4.0, 5.0, -1e-17], [-0.0, 4.5, 5.9], [3.9, 0.0, 1.0], [-4.0, -5.0, 12.0]]
+    for pts in (inside, mixed, mixed[:5], inside[:, None, :]):
+        ref = np.mod(pts, dom.sides)
+        ref = np.where(ref >= dom.sides, 0.0, ref)
+        assert dom.wrap(pts).tobytes() == ref.tobytes()
+
+
 def test_distance_hand_example():
     # (1,1) to (8,6) on side 10: dx = min(7,3) = 3, dy = 5 -> sqrt(34)
     dom = TorusDomain(2, 10.0)

@@ -160,6 +160,8 @@ MISREAD_PROTOCOLS = {
         {"mode": "long-chain", "checkpoints": [8, 24]},
         "checkpoints",
     ),
+    "stationarity_bins_not_dividing_the_grid": ("stationarity", {"bins": 100}, "bins"),
+    "stationarity_bins_above_the_grid": ("stationarity", {"bins": 5000}, "bins"),
     "generalization_unknown_objective": ("generalization", {"objective": {"name": "no_such_objective"}}, "objective"),
     "generalization_objective_d_differs": ("generalization", {"objective": {**LINREG, "d": 3}}, "objective"),
     "generalization_objective_noise_differs": ("generalization", {"objective": {**LINREG, "noise": 0.1}}, "objective"),

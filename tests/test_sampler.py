@@ -492,3 +492,129 @@ def test_rows_at_their_seam_thin_at_the_ceiling():
         seam_radii=np.zeros(n),
     )
     assert np.array_equal(plain, at_seam)
+
+
+# ----------------------------------------------------------------------
+# two-sided bounds: sure acceptances and the evaluation cut-off
+# ----------------------------------------------------------------------
+
+
+def _first_round(seed, n, block, ceiling):
+    # the radii and levels of thinning's first round on RngStream(seed)
+    gen = RngStream(seed).generator
+    radii = np.cumsum(gen.exponential(1.0 / ceiling, size=(n, block)), axis=1)
+    return radii, gen.random((n, block)) * ceiling
+
+
+def _recorded(fn):
+    # a flat rate_rows callback that keeps the (row, radius) of every proposal
+    seen = []
+
+    def rate_rows(radii, rows):
+        assert radii.shape == (rows.size, 1)
+        seen.append((rows.copy(), radii[:, 0].copy()))
+        return fn(radii)
+
+    return rate_rows, seen
+
+
+def _evaluated_columns(seen, radii):
+    rows = np.concatenate([r for r, _ in seen])
+    at = np.concatenate([x for _, x in seen])
+    cols = np.array([np.searchsorted(radii[i], x) for i, x in zip(rows, at)])
+    assert np.array_equal(radii[rows, cols], at)
+    return rows, cols
+
+
+# falls from 1.4 to the floor 0.8 with slope up to 0.6
+FALLING = lambda t: 0.8 + 0.6 * np.exp(-np.asarray(t))  # noqa: E731
+
+
+def test_a_slope_only_the_lower_bound_exposes_raises():
+    # the rate never rises, so no rate exceeds an upper bound anchored at
+    # r = 0; it falls 60 times faster than declared, below its lower bound
+    n = 2000
+    with pytest.raises(RateBoundError, match="local bound"):
+        thin_first_arrivals(
+            lambda radii, rows: FALLING(radii),
+            n,
+            0.8,
+            1.5,
+            RngStream(49),
+            slope=0.01,
+            anchor_rates=np.full(n, 1.4),
+            seam_radii=np.full(n, np.inf),
+        )
+
+
+def test_no_proposal_at_or_after_a_sure_acceptance_is_evaluated():
+    # lower bound max(0.8, 1.4 - 0.6 r): the block is long enough that every
+    # row ends in the first round, which the test replays
+    n, block, floor, ceiling, slope = 3000, 16, 0.8, 1.5, 0.6
+    rate_rows, seen = _recorded(FALLING)
+    draws = thin_first_arrivals(
+        rate_rows,
+        n,
+        floor,
+        ceiling,
+        RngStream(50),
+        block=block,
+        slope=slope,
+        anchor_rates=np.full(n, 1.4),
+        seam_radii=np.full(n, np.inf),
+    )
+    radii, levels = _first_round(50, n, block, ceiling)
+    assert np.all(np.isin(draws, radii))
+    rows, cols = _evaluated_columns(seen, radii)
+    # sure: below the lower bound by more than the bounds' rounding margin
+    sure = levels < np.maximum(floor, 1.4 - slope * radii) - 1e-8
+    first_sure = np.where(sure.any(axis=1), sure.argmax(axis=1), block)
+    assert np.all(cols < first_sure[rows])
+    # rows with a sure acceptance also evaluated proposals before it
+    assert np.any(first_sure[rows] < block)
+    accepted = levels < FALLING(radii)
+    assert np.array_equal(draws, radii[np.arange(n), accepted.argmax(axis=1)])
+
+
+def test_without_a_slope_no_level_below_the_floor_is_evaluated():
+    fn = LOCAL_FIELDS[1][1]  # sin: 0.5 to 1.5
+    n, block, floor, ceiling = 3000, 16, 0.5, 1.5
+    rate_rows, seen = _recorded(fn)
+    draws = thin_first_arrivals(rate_rows, n, floor, ceiling, RngStream(51), block=block)
+    radii, levels = _first_round(51, n, block, ceiling)
+    assert np.all(np.isin(draws, radii))
+    rows, cols = _evaluated_columns(seen, radii)
+    assert rows.size
+    assert np.all(levels[rows, cols] >= floor)
+
+
+def test_per_chain_minibatch_rates_keep_their_bits_in_prefixes_of_two_columns():
+    # a per-chain batched matmul rounds one column differently from a block
+    # (a matrix-vector product), but any rectangle of >= 2 columns and any
+    # subset of rows matches the full block bit for bit; so thinning hands
+    # such a field rectangles of at least two columns, never a flat list
+    from poisson_sgd.objectives import linreg_synthetic
+    from poisson_sgd.optimizer import _sample_batches
+
+    objective = linreg_synthetic(64, 3, 0.5, 0)
+    n, block = 40, 12
+    gen = RngStream(52).generator
+    field = objective.grad_field(_sample_batches(gen, n, 64, 8))
+    points = objective.domain.sample_uniform(gen, n * block).reshape(n, block, 3)
+    full = field(points, rows=np.arange(n))
+    rows = np.flatnonzero(gen.random(n) < 0.5)
+    for width in range(2, block + 1):
+        assert np.array_equal(field(points[:, :width], rows=np.arange(n)), full[:, :width])
+        assert np.array_equal(field(points[rows, :width], rows=rows), full[rows, :width])
+
+    widths = []
+
+    def rate_rows(radii, chain_rows):
+        widths.append(radii.shape[1])
+        pts = objective.domain.wrap(points[chain_rows, :1] + radii[..., None])
+        return 0.8 + 0.1 * np.tanh(field(pts, rows=chain_rows)[..., 0])
+
+    # few rows, as in one-chain runs, often need only their first column
+    for seed in range(53, 73):
+        thin_first_arrivals(rate_rows, 3, 0.7, 1.0, RngStream(seed), block=block, flat=False)
+    assert widths and min(widths) >= 2

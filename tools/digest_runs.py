@@ -7,9 +7,12 @@ long-chain stationarity run, a Poisson SGD stationarity run started from
 the oracle, and a generalization run on a two-process pool), and per direct
 call of the chain runners: both ensembles with snapshots and records,
 beta = 0 ensembles of both kinds, a mini-batch ensemble, a sampler whose
-ceiling is many floors high, four single-chain records and
-``coupled_compare``. A change that must keep every draw and every byte
-prints the same lines as its parent, so one ``diff`` compares them:
+ceiling is many floors high, a beta = 0.1 optimizer ensemble (its anchored
+lower bounds accept proposals unevaluated), an optimizer ensemble whose
+anchored rows reach their seams, five single-chain records (one of them a
+per-chain mini-batch least-squares run) and ``coupled_compare``. A change
+that must keep every draw and every byte prints the same lines as its
+parent, so one ``diff`` compares them:
 
     PYTHONPATH=../parent/src python3 tools/digest_runs.py > parent.txt
     PYTHONPATH=src python3 tools/digest_runs.py > change.txt
@@ -34,7 +37,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from poisson_sgd.bps import BpsConfig, coupled_compare, run_bps, run_bps_ensemble  # noqa: E402
 from poisson_sgd.experiments import WORKERS_ENV, ExperimentConfig, run_experiment  # noqa: E402
-from poisson_sgd.objectives import double_well_1d, double_well_2d, quadratic_bowl  # noqa: E402
+from poisson_sgd.objectives import (  # noqa: E402
+    double_well_1d,
+    double_well_2d,
+    linreg_synthetic,
+    quadratic_bowl,
+)
 from poisson_sgd.optimizer import (  # noqa: E402
     PoissonSgdConfig,
     run_poisson_sgd,
@@ -120,6 +128,19 @@ def runner_lines() -> list[str]:
         "bps_ensemble_lambda_ref_0.5": run_bps_ensemble(
             dw1, BpsConfig(beta=0.05, lambda_ref=0.5, c_b=0.0, epsilon=0.5, n_steps=30, seed=9), 64
         ),
+        # anchored rates far above the floor: lower bounds accept unevaluated
+        "poisson_sgd_ensemble_beta_0.1": run_poisson_sgd_ensemble(
+            dw2, PoissonSgdConfig(beta=0.1, epsilon=0.05, n_steps=40, seed=16), 64
+        ),
+        # chains start within 0.1 of a face, heading out: anchored rows
+        # reach their seams
+        "poisson_sgd_ensemble_at_seams": run_poisson_sgd_ensemble(
+            dw1,
+            PoissonSgdConfig(beta=0.01, epsilon=0.5, n_steps=40, seed=17),
+            64,
+            initial_points=np.r_[np.linspace(0.01, 0.1, 32), np.linspace(15.9, 15.99, 32)][:, None],
+            initial_velocities=np.repeat([-1.0, 1.0], 32)[:, None],
+        ),
     }
     lines = [f"runner {name} {_ensemble_digest(res)}" for name, res in results.items()]
 
@@ -136,6 +157,10 @@ def runner_lines() -> list[str]:
                 initial_point=(4.0, 8.5),
                 initial_velocity=(0.6, -0.8),
             ),
+        ),
+        "poisson_sgd_linreg_minibatch": run_poisson_sgd(
+            linreg_synthetic(32, 2, 0.5, 0),
+            PoissonSgdConfig(beta=50.0, epsilon=0.005, n_steps=60, batch_size=8, seed=18),
         ),
         "bps": run_bps(dw2, BpsConfig(beta=0.002, lambda_ref=1.0, c_b=0.5, n_steps=60, seed=13, record_stride=9)),
         "bps_zero_steps": run_bps(dw1, BpsConfig(beta=0.01, lambda_ref=1.0, c_b=0.0, n_steps=0, seed=14)),
