@@ -13,12 +13,7 @@ import numpy as np
 
 from . import __version__
 from .bps import BpsConfig, run_bps_ensemble
-from .experiments import (
-    ExperimentConfig,
-    analyze_experiment,
-    run_experiment,
-    worker_count,
-)
+from .experiments import ExperimentConfig, analyze_experiment, run_experiment
 from .metrics import lemma_wasserstein_bound_check, wasserstein1_1d
 from .objectives import BUILTIN_OBJECTIVES, double_well_1d, quadratic_bowl
 from .optimizer import PoissonSgdConfig, reflect, run_poisson_sgd, run_poisson_sgd_ensemble
@@ -72,12 +67,10 @@ def _cmd_run(args) -> int:
         spec["seed"] = args.seed
     try:
         cfg = ExperimentConfig.from_dict(spec)
-        workers = worker_count()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"running {cfg.kind} experiment {cfg.config_hash()} -> {out_dir}")
-    print(f"workers: {workers}")
     _print_summary(run_experiment(cfg, out_dir))
     return 0
 

@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -52,20 +50,7 @@ __all__ = [
     "run_experiment",
     "analyze_experiment",
     "EXPERIMENT_KINDS",
-    "worker_count",
 ]
-
-WORKERS_ENV = "POISSON_SGD_WORKERS"
-
-
-def worker_count() -> int:
-    """Worker processes for seed fan-out; 1 (serial) unless the env var says more."""
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from exc
-    return max(1, n)
 
 
 @dataclass(frozen=True)
@@ -77,7 +62,6 @@ class ExperimentConfig:
     trials: int
     seed: int
     protocol: dict = field(default_factory=dict)
-    algorithms: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
@@ -105,7 +89,6 @@ class ExperimentConfig:
             "trials": self.trials,
             "seed": self.seed,
             "protocol": self.protocol,
-            "algorithms": self.algorithms,
         }
 
     @classmethod
@@ -120,7 +103,6 @@ class ExperimentConfig:
             trials=int(spec["trials"]),
             seed=int(spec["seed"]),
             protocol=dict(spec.get("protocol", {})),
-            algorithms=dict(spec.get("algorithms", {})),
         )
 
     @classmethod
@@ -674,46 +656,47 @@ def make_linreg_with_holdout(
     return train, full.features[n:], full.targets[n:]
 
 
-def _generalization_trial(params: dict, seed: int, n: int, trial: int) -> tuple[int, int, float, float]:
-    dataset_seed = seed * 1000003 + trial
-    train, X_test, y_test = make_linreg_with_holdout(
-        n,
-        int(params["n_test"]),
-        int(params["d"]),
-        float(params["noise"]),
-        dataset_seed,
-        float(params["side"]),
-    )
-    run_cfg = PoissonSgdConfig(
-        beta=float(params["beta"]),
-        epsilon=float(params["epsilon"]),
-        n_steps=int(params["n_steps"]),
-        batch_size=min(int(params["batch_size"]), n),
-        seed=dataset_seed,
-    )
-    result = run_poisson_sgd_ensemble(
-        train, run_cfg, 1, rng=RngStream(dataset_seed, spawn_key=(12,))
-    )
-    theta = result.thetas[0]
-    train_risk = float(train.empirical_risk(theta))
-    test_risk = float(np.mean(0.5 * (X_test @ theta - y_test) ** 2))
-    return n, trial, train_risk, test_risk
+def _generalization_datasets(params: dict, seed: int, n: int, trials: int):
+    """Every trial's train set at size ``n``, stacked one per chain, and the
+    sufficient statistics (X'X, X'y, y'y) of each trial's held-out block."""
+    features, targets, stats = [], [], []
+    for trial in range(trials):
+        train, X_test, y_test = make_linreg_with_holdout(
+            n,
+            int(params["n_test"]),
+            int(params["d"]),
+            float(params["noise"]),
+            seed * 1000003 + trial,
+            float(params["side"]),
+        )
+        # copies, so that no trial's full draw stays alive
+        features.append(train.features.copy())
+        targets.append(train.targets.copy())
+        stats.append((X_test.T @ X_test, X_test.T @ y_test, y_test @ y_test))
+    stacked = LinearRegressionObjective(np.stack(features), np.stack(targets), train.domain)
+    gram, cross, sq = (np.stack(stat) for stat in zip(*stats))
+    return stacked, gram, cross, sq
 
 
 def _run_generalization(cfg: ExperimentConfig, params: dict, objective: Objective, out: _RunDir) -> None:
-    jobs = [
-        (params, cfg.seed, int(n), trial)
-        for n in params["n_list"]
-        for trial in range(cfg.trials)
-    ]
-    workers = worker_count()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_generalization_trial, *zip(*jobs), chunksize=8))
-    else:
-        results = [_generalization_trial(*job) for job in jobs]
-    rows = [[n, trial, train, test] for n, trial, train, test in results]
-    rows.sort(key=lambda r: (r[0], r[1]))
+    # each size runs its trials as one ensemble: chain t fits trial t's data
+    n_test = int(params["n_test"])
+    rows = []
+    for j, n in enumerate(int(n) for n in params["n_list"]):
+        train, gram, cross, sq = _generalization_datasets(params, cfg.seed, n, cfg.trials)
+        run_cfg = PoissonSgdConfig(
+            beta=float(params["beta"]),
+            epsilon=float(params["epsilon"]),
+            n_steps=int(params["n_steps"]),
+            batch_size=min(int(params["batch_size"]), n),
+            seed=cfg.seed,
+        )
+        thetas = run_poisson_sgd_ensemble(train, run_cfg, cfg.trials, rng=cfg.stream(12, j)).thetas
+        train_risks = train.empirical_risk(thetas)
+        # mean of (x.theta - y)^2 / 2 over the held-out rows, from their statistics
+        quad = np.einsum("td,tde,te->t", thetas, gram, thetas) - 2.0 * np.einsum("td,td->t", thetas, cross)
+        test_risks = 0.5 * (quad + sq) / n_test
+        rows += [[n, t, float(a), float(b)] for t, (a, b) in enumerate(zip(train_risks, test_risks))]
     _write_csv(out.file("risks.csv"), ["n", "trial", "train_risk", "test_risk"], rows)
 
 

@@ -5,7 +5,9 @@ axes, and gradient evaluation accepts per-row mini-batch index matrices so
 lock-step chain ensembles evaluate in a single call. Every objective declares
 an analytic bound ``grad_norm_bound`` on per-sample gradient norms over its
 whole domain; the samplers' correctness rests on that bound being true, so it
-is derived in closed form per problem, never estimated from samples.
+is derived in closed form per problem, never estimated from samples. A
+``LinearRegressionObjective`` may stack one dataset per chain; its bound is
+then one per chain, and each chain's gradients are checked against its own.
 """
 
 from __future__ import annotations
@@ -74,7 +76,9 @@ class Objective:
     is None (full dataset), an (m,) vector (shared batch), or an (N, m) matrix
     paired row-wise with a leading axis of ``theta``. Per-sample losses are
     nonnegative; per-sample gradient norms never exceed ``grad_norm_bound``
-    anywhere on ``domain``.
+    anywhere on ``domain``. The bound is a float, or an (N,) array when each
+    of N chains has its own data; the chain is then the leading axis of
+    ``theta``.
     """
 
     def __init__(
@@ -87,11 +91,12 @@ class Objective:
     ):
         if int(n_samples) != n_samples or n_samples < 1:
             raise ValueError("n_samples must be a positive integer")
-        if not (math.isfinite(grad_norm_bound) and grad_norm_bound > 0.0):
+        bound = np.asarray(grad_norm_bound, dtype=float)
+        if bound.ndim > 1 or bound.size == 0 or not np.all(np.isfinite(bound) & (bound > 0.0)):
             raise ValueError("grad_norm_bound must be positive and finite")
         self.domain = domain
         self.n_samples = int(n_samples)
-        self.grad_norm_bound = float(grad_norm_bound)
+        self.grad_norm_bound = float(bound) if bound.ndim == 0 else bound
         self.name = str(name)
         self.metadata = metadata or ObjectiveMetadata()
 
@@ -130,7 +135,8 @@ class Objective:
 
         ``batch`` may be None (full dataset), an (m,) index vector, or an
         (N, m) per-chain matrix; in the matrix case ``rows`` selects which
-        chain rows the leading axis of ``points`` refers to.
+        chain rows the leading axis of ``points`` refers to. With per-chain
+        datasets every batch resolves to such a matrix.
         """
         idx = self.resolve_batch(batch)
         if idx is None or idx.ndim == 1:
@@ -147,13 +153,18 @@ class Objective:
         return field
 
     def check_grad_norms(self, grads: np.ndarray) -> None:
-        """Runtime guard: abort if any observed gradient defeats the bound."""
+        """Runtime guard: abort if any observed gradient defeats its bound
+        (with per-chain bounds, the leading axis of ``grads`` is the chain)."""
         sq = np.einsum("...d,...d->...", grads, grads)
-        worst_sq = float(sq.max()) if sq.size else 0.0
-        if not worst_sq <= (self.grad_norm_bound * (1.0 + 1e-9)) ** 2:
+        bound = self.grad_norm_bound
+        if isinstance(bound, np.ndarray):
+            bound = bound.reshape(bound.shape + (1,) * (sq.ndim - 1))
+        within = sq <= (bound * (1.0 + 1e-9)) ** 2  # False for NaN too
+        if not within.all():
+            i = np.unravel_index(int(within.argmin()), within.shape)
             raise GradientBoundError(
-                f"{self.name}: gradient norm {math.sqrt(worst_sq):.6g} exceeds declared "
-                f"bound {self.grad_norm_bound:.6g}"
+                f"{self.name}: gradient norm {math.sqrt(sq[i]):.6g} exceeds declared "
+                f"bound {np.broadcast_to(bound, sq.shape)[i]:.6g}"
             )
 
     # ------------------------------------------------------------------
@@ -285,7 +296,15 @@ class QuadraticBowlObjective(Objective):
 
 
 class LinearRegressionObjective(Objective):
-    """Half squared-error linear model over a stored design matrix."""
+    """Half squared-error linear model over a stored design matrix.
+
+    ``features`` (n, d) with ``targets`` (n,) is one dataset that every chain
+    shares. ``features`` (T, n, d) with ``targets`` (T, n) stacks T datasets
+    of one size, one per chain of a T-chain ensemble: chain t's full batch
+    and mini-batches read only dataset t, and ``grad_norm_bound`` is the (T,)
+    array of the datasets' own bounds. Batch indices stay in [0, n) either
+    way; ``resolve_batch`` offsets chain t's by ``t * n`` into the flat rows.
+    """
 
     def __init__(
         self,
@@ -297,34 +316,54 @@ class LinearRegressionObjective(Objective):
     ):
         X = np.asarray(features, dtype=float)
         y = np.asarray(targets, dtype=float)
-        if X.ndim != 2 or y.shape != (X.shape[0],):
-            raise ValueError("features must be (n, d) with matching (n,) targets")
-        n, d = X.shape
+        if X.ndim not in (2, 3) or y.shape != X.shape[:-1]:
+            raise ValueError("features must be (n, d) or (T, n, d) with matching (n,) or (T, n) targets")
+        n, d = X.shape[-2:]
         if d != domain.dim:
             raise ValueError("feature dimension must match the domain")
         sides = domain.sides
         # residual |x.theta - y| over the box is maximized at a box corner
-        hi = np.sum(sides * np.maximum(X, 0.0), axis=1)
-        lo = np.sum(sides * np.minimum(X, 0.0), axis=1)
+        hi = np.sum(sides * np.maximum(X, 0.0), axis=-1)
+        lo = np.sum(sides * np.minimum(X, 0.0), axis=-1)
         resid_sup = np.maximum(np.abs(hi - y), np.abs(lo - y))
-        x_norms = np.linalg.norm(X, axis=1)
-        bound = float(np.max(resid_sup * x_norms))
+        x_norms = np.linalg.norm(X, axis=-1)
+        bound = np.max(resid_sup * x_norms, axis=-1)
         meta = ObjectiveMetadata(lipschitz_c1=float(np.max(x_norms**2)))
         super().__init__(domain, n, bound, name, meta)
         self.features = X
         self.targets = y
         self.generator_spec = dict(generator_spec or {})
+        # the rows of every dataset, flat: chain t's row i is row t * n + i
+        self._X = X.reshape(-1, d)
+        self._y = y.reshape(-1)
+        self._full_batches = None if X.ndim == 2 else np.arange(X.shape[0] * n).reshape(-1, n)
+
+    def resolve_batch(self, batch) -> np.ndarray | None:
+        """As ``Objective.resolve_batch``; with stacked datasets, a (T, m)
+        matrix of flat rows, chain t's offset into dataset t (None: every
+        row of each chain's dataset; a shared (m,) batch: those rows of each)."""
+        idx = super().resolve_batch(batch)
+        stacked = self._full_batches
+        if stacked is None:
+            return idx
+        if idx is None:
+            return stacked
+        if idx.ndim == 2 and idx.shape[0] != stacked.shape[0]:
+            raise ValueError(f"per-chain batches need one row per dataset ({stacked.shape[0]}), got {idx.shape[0]}")
+        return idx + stacked[:, :1]
 
     def _residuals(self, theta, indices):
+        if indices is None and self._full_batches is not None:
+            indices = self._full_batches
         if indices is None or indices.ndim == 1:
-            Xb = self.features if indices is None else self.features[indices]
-            yb = self.targets if indices is None else self.targets[indices]
+            Xb = self._X if indices is None else self._X[indices]
+            yb = self._y if indices is None else self._y[indices]
             return np.einsum("...d,md->...m", theta, Xb) - yb, Xb
         # per-chain batches: theta (N, ..., d) row-paired with indices (N, m)
-        Xb = self.features[indices]
-        yb = self.targets[indices]
+        Xb = self._X[indices]
+        yb = self._y[indices]
         lead = theta.shape[0]
-        if lead != indices.shape[0]:
+        if theta.ndim < 2 or lead != indices.shape[0]:
             raise ValueError("theta leading axis must match per-chain batch rows")
         flat = theta.reshape(lead, -1, theta.shape[-1])
         resid = np.matmul(flat, np.swapaxes(Xb, 1, 2)) - yb[:, None, :]
@@ -336,7 +375,7 @@ class LinearRegressionObjective(Objective):
 
     def _mean_grad(self, theta, indices):
         resid, Xb = self._residuals(theta, indices)
-        if indices is None or indices.ndim == 1:
+        if Xb.ndim == 2:  # one batch shared by every point
             return np.einsum("...m,md->...d", resid, Xb) / Xb.shape[0]
         lead = theta.shape[0]
         flat = resid.reshape(lead, -1, resid.shape[-1])

@@ -27,10 +27,10 @@ envelope ``[floor, ceiling]``. With a full batch, an objective that
 declares a Lipschitz constant and a ceiling at least
 ``LOCAL_BOUND_MIN_SPREAD`` floors high, they narrow to two-sided local
 bounds up to each ray's first seam, anchored from the second step on at the
-rate the reflection gradient already gives. Full-batch rates are evaluated
-as a flat list of proposals; per-chain mini-batch rates, whose matmuls round
-a single column differently from a block, in rectangles of at least two
-columns.
+rate the reflection gradient already gives. Rates are evaluated as a flat
+list of the undecided proposals. An objective whose chains each own a
+dataset (a stacked ``LinearRegressionObjective``) declares one gradient
+bound per chain, and each chain thins against its own ceiling.
 """
 
 from __future__ import annotations
@@ -240,7 +240,10 @@ def _run_chains(
     full_field = objective.grad_field(None)
 
     floor = cfg.floor
+    # one ceiling per chain when the objective bounds each chain's gradients
     ceiling = cfg.ceiling(objective.grad_norm_bound)
+    if np.shape(ceiling) not in ((), (N,)):
+        raise ValueError(f"{objective.name} holds {len(ceiling)} per-chain datasets, not {N}")
     # Local thinning bounds need a Lipschitz constant and pay off with a free
     # anchor: the rate at r = 0 of the next step's rays, known from this
     # step's reflection gradients because both use the full-batch field.
@@ -253,7 +256,7 @@ def _run_chains(
         lipschitz is not None
         and cfg.beta > 0.0
         and not per_chain_batches
-        and ceiling >= LOCAL_BOUND_MIN_SPREAD * floor
+        and np.min(ceiling) >= LOCAL_BOUND_MIN_SPREAD * floor
     )
     slope = cfg.beta * lipschitz if local_bounds else None
     anchors = None
@@ -302,7 +305,6 @@ def _run_chains(
                 slope=slope,
                 anchor_rates=anchors,
                 seam_radii=seams,
-                flat=not per_chain_batches,
             )
         eta_sum += float(etas.sum())
 

@@ -8,11 +8,13 @@ quadrature (test oracle). They share no code beyond the rate callable.
 
 Thinning proposes at the global ceiling ``beta * M + C`` (``M`` bounds
 ``||g||`` on the whole domain), which always dominates, and accepts a
-proposal when its level ``u * ceiling`` lies below the rate. Most proposals
-need no rate evaluation, because each has two-sided bounds on its rate that
-often decide it alone: a level below the lower bound is accepted whatever
-the rate, one at or above the upper bound is rejected, and a row stops
-evaluating at its first sure acceptance. The bounds are the envelope
+proposal when its level ``u * ceiling`` lies below the rate. Rays whose
+gradients have different bounds (chains on their own datasets) each
+propose at their own ceiling. Most proposals need no rate evaluation,
+because each has two-sided bounds on its rate that often decide it alone:
+a level below the lower bound is accepted whatever the rate, one at or
+above the upper bound is rejected, and a row stops evaluating at its first
+sure acceptance. The bounds are the envelope
 ``[C, ceiling]``, narrowed by a Lipschitz constant: if ``g`` is
 ``L``-Lipschitz the rate moves by at most ``beta * L`` per unit radius, so
 ``q_a -/+ beta * L * (r - r_a)`` bound it past any anchor radius ``r_a``
@@ -26,9 +28,7 @@ The chain loop supplies the first anchor for free: with a full batch the
 rate at ``r = 0`` follows from the gradient of the previous reflection,
 taken at the same point with the same field. Every evaluated rate is
 checked against both local bounds, so a false ``L`` aborts the run
-(``RateBoundError``). Rates of per-chain mini-batch fields round
-differently for a single column than for a block, so they are evaluated in
-rectangular prefixes of at least two columns, never as a flat list.
+(``RateBoundError``), and against its own row's ceiling.
 """
 
 from __future__ import annotations
@@ -112,15 +112,20 @@ def uniform_sphere(d: int, rng, size: int | None = None) -> np.ndarray:
     return out[0] if size is None else out
 
 
-def _check_rate_envelope(values: np.ndarray, floor: float, ceiling: float) -> None:
+def _check_rate_envelope(values: np.ndarray, floor: float, ceiling) -> None:
+    """Refuse rates outside ``[floor, ceiling]``; ``ceiling`` is a scalar or
+    broadcasts against ``values`` (a ceiling per row)."""
     if values.size == 0:
         return
-    vmin, vmax = float(values.min()), float(values.max())
-    if not math.isfinite(vmax) or vmax > ceiling * (1.0 + _RTOL) + 1e-12:
+    within = values <= ceiling * (1.0 + _RTOL) + 1e-12  # False for NaN too
+    if not within.all():
+        i = np.unravel_index(int(within.argmin()), within.shape)
+        limit = np.broadcast_to(ceiling, values.shape)[i]
         raise RateBoundError(
-            f"rate {vmax:.6g} exceeds ceiling {ceiling:.6g}: the declared "
+            f"rate {values[i]:.6g} exceeds ceiling {limit:.6g}: the declared "
             "gradient bound is false; aborting instead of drawing biased times"
         )
+    vmin = float(values.min())
     if vmin < floor * (1.0 - _RTOL) - 1e-12:
         raise RateBoundError(
             f"rate {vmin:.6g} fell below floor {floor:.6g}: rate construction bug"
@@ -196,7 +201,7 @@ def thin_first_arrivals(
     rate_rows: Callable[[np.ndarray, np.ndarray], np.ndarray],
     n: int,
     floor: float,
-    ceiling: float,
+    ceiling,
     rng: RngStream,
     block: int | None = None,
     max_proposals: int = 200_000_000,
@@ -204,15 +209,15 @@ def thin_first_arrivals(
     slope: float | None = None,
     anchor_rates: np.ndarray | None = None,
     seam_radii: np.ndarray | None = None,
-    flat: bool = True,
 ) -> np.ndarray:
     """Vectorized exact first arrivals of inhomogeneous exponential laws.
 
     Each round draws ``block`` proposals per ray from the homogeneous
-    Exp(ceiling) process and a level ``u * ceiling`` per proposal; a
-    proposal is accepted when its level lies below the rate there, and the
-    first accepted one has exactly the target law (classic thinning).
-    Termination is a.s. because acceptance probability >= floor/ceiling > 0.
+    Exp(ceiling) process and a level ``u * ceiling`` per proposal, at the
+    ray's own ceiling when ``ceiling`` gives one per ray; a proposal is
+    accepted when its level lies below the rate there, and the first
+    accepted one has exactly the target law (classic thinning). Termination
+    is a.s. because acceptance probability >= floor/ceiling > 0.
 
     Every proposal gets a lower and an upper bound on its rate before any
     rate is evaluated: ``[floor, ceiling]``, narrowed with ``slope`` to
@@ -228,29 +233,22 @@ def thin_first_arrivals(
     in r, i.e. below the row's seam radius; past it, or before a row has an
     anchor, they widen to the envelope. A row that draws again re-anchors at
     its last evaluated proposal before its seam. Every evaluated rate is
-    checked against both local bounds as well as the envelope, so a false
-    ``slope`` raises ``RateBoundError`` whichever side it breaks.
-
-    The evaluated proposals go to ``rate_rows`` as a flat list (one column,
-    rows repeating) when ``flat``. A callback whose rounding depends on how
-    many columns it gets (per-chain mini-batch matmuls, which round a single
-    column differently) takes ``flat=False`` instead: each round it gets one
-    rectangle, the rows whose first proposal is not a sure acceptance by
-    the columns before the latest first sure acceptance among them (all
-    columns if a row has none), widened to at least two columns (all of
-    them if ``block`` is 1), so every rate it returns has the bits of a
-    full-block evaluation.
+    checked against both local bounds as well as its row's envelope, so a
+    false ``slope`` or ceiling raises ``RateBoundError`` whichever side it
+    breaks. The evaluated proposals go to ``rate_rows`` as one flat list.
 
     Args:
-        rate_rows: callback mapping (radii (k, B), rows (k,)) -> rates (k, B),
-            where ``rows`` indexes which of the n rays each radii row belongs
-            to (rows may repeat when ``flat``, with B = 1). Rates must
-            respect the shared [floor, ceiling] envelope.
+        rate_rows: callback mapping (radii (k, 1), rows (k,)) -> rates (k, 1),
+            where ``rows`` indexes which of the n rays each radius belongs
+            to (rows repeat, in radius order). Rates must respect their
+            row's [floor, ceiling] envelope.
         n: number of independent rays.
-        floor, ceiling: shared positive rate envelope.
+        floor: shared positive rate floor.
+        ceiling: positive rate ceiling, shared (a scalar) or per ray ((n,)).
+            A shared ceiling draws exactly what equal per-ray ones draw.
         rng: stream consumed by the draws.
-        block: proposals drawn per ray per round; default sized so one round
-            usually suffices.
+        block: proposals drawn per ray per round; default sized from the
+            mean ceiling so one round usually suffices.
         slope: Lipschitz constant of every rate in r between seams. None
             bounds every rate by the envelope alone.
         anchor_rates: (n,) rates at radius 0, which anchor each row's local
@@ -259,15 +257,20 @@ def thin_first_arrivals(
         seam_radii: (n,) radii below which the rates are ``slope``-Lipschitz
             (+inf when they never jump); a row at or past its seam has no
             local bound. Required with ``slope``.
-        flat: evaluate a flat list of proposals (True) or rectangular
-            prefixes of at least two columns (False), see above.
 
     Returns:
         (n,) array of arrival radii.
     """
-    if not (floor > 0.0 and ceiling > 0.0 and math.isfinite(ceiling)):
+    per_row = np.ndim(ceiling) > 0
+    lowest = highest = mean_ceiling = ceiling
+    if per_row:
+        ceiling = np.asarray(ceiling, dtype=float)
+        if ceiling.shape != (n,):
+            raise ValueError(f"ceiling must be a scalar or have shape ({n},)")
+        lowest, highest, mean_ceiling = ceiling.min(), ceiling.max(), ceiling.mean()
+    if not (floor > 0.0 and lowest > 0.0 and math.isfinite(highest)):
         raise ValueError("floor and ceiling must be positive and finite")
-    if floor > ceiling * (1.0 + _RTOL):
+    if floor > lowest * (1.0 + _RTOL):
         raise ValueError("floor exceeds ceiling")
     if slope is None:
         if anchor_rates is not None or seam_radii is not None:
@@ -275,7 +278,7 @@ def thin_first_arrivals(
     elif not (math.isfinite(slope) and slope >= 0.0) or seam_radii is None:
         raise ValueError("slope must be finite and >= 0, with seam_radii")
     if block is None:
-        block = int(min(max(math.ceil(1.3 * ceiling / floor) + 2, 4), 4096))
+        block = int(min(max(math.ceil(1.3 * mean_ceiling / floor) + 2, 4), 4096))
     gen = as_generator(rng)
     eta = np.empty(n)
     offsets = np.zeros(n)
@@ -305,11 +308,12 @@ def thin_first_arrivals(
     proposed = 0
     while active.size:
         k = active.size
-        gaps = gen.exponential(1.0 / ceiling, size=(k, block))
+        top = ceiling[active, None] if per_row else ceiling
+        gaps = gen.exponential(1.0 / top, size=(k, block))
         radii = offsets[active, None] + np.cumsum(gaps, axis=1)
-        levels = gen.random((k, block)) * ceiling
+        levels = gen.random((k, block)) * top
         # a level below the floor is accepted whatever the rate
-        accept = levels < floor - tol
+        accept = levels < floor - (tol[active, None] if per_row else tol)
         if slope is not None:
             tilt = slope * radii
             bounded = radii < seams[active, None]
@@ -317,23 +321,15 @@ def thin_first_arrivals(
             undecided = (levels - tilt < highs[active, None]) | ~bounded
         # evaluate the undecided proposals before each row's first sure
         # acceptance: nothing after it can change the row's arrival
-        settled = np.logical_or.accumulate(accept, axis=1)
-        if flat:
-            need = ~settled
-            if slope is not None:
-                need &= undecided
-            rows, cols = np.nonzero(need)
-            at = rows[:, None], cols[:, None]
-        else:
-            # one rectangle: the unsettled rows, up to the last row's settling
-            done = np.logical_and.reduce(settled, axis=0)
-            width = min(block, max(2, int(done.argmax()) if done[-1] else block))
-            rows = (~settled[:, 0]).nonzero()[0]
-            at = rows if rows.size < k else slice(None), slice(0, width)
+        need = ~np.logical_or.accumulate(accept, axis=1)
+        if slope is not None:
+            need &= undecided
+        rows, cols = np.nonzero(need)
         if rows.size:
+            at = rows[:, None], cols[:, None]
             owners, r_eval = active[rows], radii[at]
             rates = _evaluate(rate_rows, r_eval, owners)
-            _check_rate_envelope(rates, floor, ceiling)
+            _check_rate_envelope(rates, floor, ceiling[owners, None] if per_row else ceiling)
             if slope is not None:
                 tilt = slope * r_eval
                 excess, lifted = rates - tilt, rates + tilt
@@ -344,13 +340,11 @@ def thin_first_arrivals(
                 )
                 # each row re-anchors at its last evaluated proposal
                 # (np.nonzero lists them row by row, in radius order)
-                if flat:
-                    last = np.append(np.flatnonzero(rows[1:] != rows[:-1]), rows.size - 1)
-                else:
-                    last = slice(None)
-                ends, keep = owners[last], bounded[last, -1]
-                lows[ends] = np.where(keep, lifted[last, -1] - tol, -np.inf)
-                highs[ends] = np.where(keep, excess[last, -1] + tol, np.inf)
+                last = np.append(np.flatnonzero(rows[1:] != rows[:-1]), rows.size - 1)
+                ends, keep = owners[last], bounded[last, 0]
+                margin = tol[ends] if per_row else tol
+                lows[ends] = np.where(keep, lifted[last, 0] - margin, -np.inf)
+                highs[ends] = np.where(keep, excess[last, 0] + margin, np.inf)
             accept[at] = levels[at] < rates
         hit = accept.any(axis=1)
         first = accept.argmax(axis=1)

@@ -10,11 +10,11 @@ from poisson_sgd.cli import main
 from poisson_sgd.experiments import (
     EXPERIMENT_KINDS,
     ExperimentConfig,
+    _generalization_datasets,
     _geometric_checkpoints,
     analyze_experiment,
     make_linreg_with_holdout,
     run_experiment,
-    worker_count,
 )
 from poisson_sgd.objectives import BUILTIN_OBJECTIVES, linreg_synthetic
 
@@ -317,16 +317,19 @@ def test_holdout_dataset_is_a_split_of_one_draw():
     assert np.array_equal(y_test, y2)
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("POISSON_SGD_WORKERS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("POISSON_SGD_WORKERS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("POISSON_SGD_WORKERS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("POISSON_SGD_WORKERS", "four")
-    with pytest.raises(ValueError):
-        worker_count()
+def test_generalization_stacks_each_trials_holdout_split():
+    params = {**TINY_CONFIGS["generalization"].params(), "d": 3}
+    trials, seed, n = 3, 105, 8
+    stacked, gram, cross, sq = _generalization_datasets(params, seed, n, trials)
+    theta = np.array([1.0, 2.5, 4.0])
+    for t in range(trials):
+        train, X_test, y_test = make_linreg_with_holdout(n, params["n_test"], 3, 0.5, seed * 1000003 + t)
+        assert np.array_equal(stacked.features[t], train.features)
+        assert np.array_equal(stacked.targets[t], train.targets)
+        assert stacked.grad_norm_bound[t] == train.grad_norm_bound
+        # the held-out statistics give the held-out block's risk
+        direct = np.sum((X_test @ theta - y_test) ** 2)
+        assert np.isclose(theta @ gram[t] @ theta - 2.0 * theta @ cross[t] + sq[t], direct, rtol=1e-10)
 
 
 def test_cli_run_analyze_roundtrip(tmp_path, capsys):
@@ -350,16 +353,12 @@ def test_cli_run_analyze_roundtrip(tmp_path, capsys):
     assert manifest["config"]["seed"] == 7
 
 
-def test_cli_error_paths(tmp_path, capsys, monkeypatch):
+def test_cli_error_paths(tmp_path, capsys):
     spec = TINY_CONFIGS["baseline"].to_dict()  # no out_dir
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(spec))
     assert main(["run", str(cfg_path)]) == 2
     assert "no output directory" in capsys.readouterr().err
-
-    monkeypatch.setenv("POISSON_SGD_WORKERS", "many")
-    assert main(["run", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
-    assert "POISSON_SGD_WORKERS" in capsys.readouterr().err
 
 
 def test_cli_list_objectives_and_verify(capsys):

@@ -217,3 +217,57 @@ def test_metadata_fields():
     for obj in (double_well_1d(), double_well_2d()):
         meta = obj.metadata
         assert meta.lipschitz_c1 > 0
+
+
+# ----------------------------------------------------------------------
+# stacked per-chain datasets
+# ----------------------------------------------------------------------
+
+
+def _stacked_trials(T=4, n=24):
+    trials = [linreg_synthetic(n, 2, 0.5, seed=30 + t) for t in range(T)]
+    stacked = LinearRegressionObjective(
+        np.stack([o.features for o in trials]), np.stack([o.targets for o in trials]), trials[0].domain
+    )
+    return trials, stacked
+
+
+def test_stacked_chains_read_only_their_own_dataset():
+    trials, stacked = _stacked_trials()
+    T, n = len(trials), stacked.n_samples
+    assert n == 24
+    assert np.array_equal(stacked.grad_norm_bound, [o.grad_norm_bound for o in trials])
+    assert stacked.metadata.lipschitz_c1 == max(o.metadata.lipschitz_c1 for o in trials)
+    gen = RngStream(31).generator
+    thetas = stacked.domain.sample_uniform(gen, T)
+    batches = _sample_batches(gen, T, n, 5)
+    batch_grads = stacked.minibatch_grad(batches, thetas)
+    full_grads = stacked.grad(thetas)
+    risks = stacked.empirical_risk(thetas)
+    for t, own in enumerate(trials):
+        assert np.allclose(batch_grads[t], own.minibatch_grad(batches[t], thetas[t]), rtol=1e-12, atol=1e-12)
+        assert np.allclose(full_grads[t], own.grad(thetas[t]), rtol=1e-12, atol=1e-12)
+        assert np.isclose(risks[t], own.empirical_risk(thetas[t]), rtol=1e-12)
+    # a field evaluated for a subset of chains reads those chains' datasets
+    rows = np.array([3, 1, 1])
+    points = thetas[rows][:, None, :] + np.array([[[0.1, -0.2]], [[0.0, 0.3]], [[0.5, 0.5]]])
+    for batch in (batches, None):
+        got = stacked.grad_field(batch)(points, rows=rows)
+        for k, t in enumerate(rows):
+            own = trials[t].grad_field(None if batch is None else batches[t])(points[k])
+            assert np.allclose(got[k], own, rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValueError, match="one row per dataset"):
+        stacked.minibatch_grad(batches[:2], thetas[:2])
+
+
+def test_stacked_gradients_are_checked_against_their_own_chains_bound():
+    trials, stacked = _stacked_trials()
+    bounds = stacked.grad_norm_bound
+    low, high = int(np.argmin(bounds)), int(np.argmax(bounds))
+    assert bounds[low] < 0.9 * bounds[high]
+    grads = np.zeros((len(trials), 2))
+    grads[high, 0] = bounds[high]
+    stacked.check_grad_norms(grads)
+    grads[low, 1] = 0.5 * (bounds[low] + bounds[high])
+    with pytest.raises(GradientBoundError, match="bound"):
+        stacked.check_grad_norms(grads)

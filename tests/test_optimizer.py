@@ -305,3 +305,21 @@ def test_record_header_is_the_config_and_ensembles_report_no_extras(tmp_path):
     for beta, batch_size, n_steps in [(0.05, 3, 6), (0.0, 0, 6), (0.05, 0, 0)]:
         plain = PoissonSgdConfig(beta=beta, epsilon=0.5, n_steps=n_steps, batch_size=batch_size)
         assert run_poisson_sgd_ensemble(obj, plain, 8, record_chains=[0]).extras == {}
+
+
+def test_stacked_copies_of_one_dataset_run_the_plain_ensemble():
+    # per-chain mini-batches read the same rows of each copy, and equal
+    # per-chain bounds thin against the plain shared ceiling
+    from poisson_sgd.objectives import LinearRegressionObjective, linreg_synthetic
+
+    one = linreg_synthetic(32, 2, 0.5, seed=3)
+    T = 6
+    stacked = LinearRegressionObjective(np.stack([one.features] * T), np.stack([one.targets] * T), one.domain)
+    cfg = PoissonSgdConfig(beta=50.0, epsilon=0.005, n_steps=60, batch_size=8, seed=7)
+    plain = run_poisson_sgd_ensemble(one, cfg, T, rng=RngStream(7))
+    copies = run_poisson_sgd_ensemble(stacked, cfg, T, rng=RngStream(7))
+    assert plain.thetas.tobytes() == copies.thetas.tobytes()
+    assert plain.velocities.tobytes() == copies.velocities.tobytes()
+    assert plain.mean_eta == copies.mean_eta
+    with pytest.raises(ValueError, match="per-chain datasets"):
+        run_poisson_sgd_ensemble(stacked, cfg, T - 1)

@@ -588,33 +588,51 @@ def test_without_a_slope_no_level_below_the_floor_is_evaluated():
     assert np.all(levels[rows, cols] >= floor)
 
 
-def test_per_chain_minibatch_rates_keep_their_bits_in_prefixes_of_two_columns():
-    # a per-chain batched matmul rounds one column differently from a block
-    # (a matrix-vector product), but any rectangle of >= 2 columns and any
-    # subset of rows matches the full block bit for bit; so thinning hands
-    # such a field rectangles of at least two columns, never a flat list
-    from poisson_sgd.objectives import linreg_synthetic
-    from poisson_sgd.optimizer import _sample_batches
+# ----------------------------------------------------------------------
+# per-row ceilings
+# ----------------------------------------------------------------------
 
-    objective = linreg_synthetic(64, 3, 0.5, 0)
-    n, block = 40, 12
-    gen = RngStream(52).generator
-    field = objective.grad_field(_sample_batches(gen, n, 64, 8))
-    points = objective.domain.sample_uniform(gen, n * block).reshape(n, block, 3)
-    full = field(points, rows=np.arange(n))
-    rows = np.flatnonzero(gen.random(n) < 0.5)
-    for width in range(2, block + 1):
-        assert np.array_equal(field(points[:, :width], rows=np.arange(n)), full[:, :width])
-        assert np.array_equal(field(points[rows, :width], rows=rows), full[rows, :width])
+# row i rises from the floor 0.8 toward its own ceiling 0.8 + RISES[i % 3]
+RISES = np.array([0.3, 1.5, 4.0])
 
-    widths = []
 
-    def rate_rows(radii, chain_rows):
-        widths.append(radii.shape[1])
-        pts = objective.domain.wrap(points[chain_rows, :1] + radii[..., None])
-        return 0.8 + 0.1 * np.tanh(field(pts, rows=chain_rows)[..., 0])
+def _rising_rows(radii, rows):
+    return 0.8 + RISES[rows % 3, None] * (1.0 - np.exp(-radii))
 
-    # few rows, as in one-chain runs, often need only their first column
-    for seed in range(53, 73):
-        thin_first_arrivals(rate_rows, 3, 0.7, 1.0, RngStream(seed), block=block, flat=False)
-    assert widths and min(widths) >= 2
+
+def test_per_row_ceilings_match_each_rows_law():
+    from poisson_sgd.metrics import wasserstein1_1d
+
+    n = 3 * 20000
+    ceilings = 0.8 + RISES[np.arange(n) % 3]
+    # two proposals per round: many rows draw again, after the active set shrank
+    draws = thin_first_arrivals(_rising_rows, n, 0.8, ceilings, RngStream(60), block=2)
+    for g, rise in enumerate(RISES):
+        law = _oracle_cloud(lambda t, rise=rise: 0.8 + rise * (1.0 - np.exp(-np.asarray(t))), 0.8)
+        assert wasserstein1_1d(draws[g::3], law) < 0.02
+
+
+def test_a_rate_above_its_own_rows_ceiling_raises():
+    # every rate is 2.0: under the largest ceiling 5.0, above the 1.0 of
+    # every third row
+    n = 30
+    ceilings = np.where(np.arange(n) % 3 == 0, 1.0, 5.0)
+    with pytest.raises(RateBoundError, match="exceeds ceiling 1"):
+        thin_first_arrivals(lambda radii, rows: np.full(radii.shape, 2.0), n, 0.01, ceilings, RngStream(61))
+    thin_first_arrivals(lambda radii, rows: np.full(radii.shape, 2.0), n, 0.01, 5.0, RngStream(61))
+    with pytest.raises(ValueError, match="shape"):
+        thin_first_arrivals(_rising_rows, n, 0.8, ceilings[:-1], RngStream(61))
+
+
+@pytest.mark.parametrize("block", [None, 1])
+def test_equal_per_row_ceilings_draw_the_shared_ceilings_bytes(block):
+    fn = LOCAL_FIELDS[2][1]  # bump: 0.9 to 2.7, slope up to 3.7
+    n = 4000
+    local = dict(slope=3.7, anchor_rates=np.full(n, float(fn(np.zeros(1))[0])), seam_radii=np.full(n, 2.5))
+    for bounds in ({}, local):
+        shared_rows, shared_calls = _counted(fn)
+        shared = thin_first_arrivals(shared_rows, n, 0.9, 2.7, RngStream(62), block=block, **bounds)
+        rows_rows, rows_calls = _counted(fn)
+        per_row = thin_first_arrivals(rows_rows, n, 0.9, np.full(n, 2.7), RngStream(62), block=block, **bounds)
+        assert shared.tobytes() == per_row.tobytes()
+        assert shared_calls == rows_calls

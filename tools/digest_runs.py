@@ -4,7 +4,8 @@ Prints one ``name sha256`` line per artifact of each ``TINY_CONFIGS`` run
 (``tests/test_harness.py``; manifests and config hashes included), of three
 runs that reach branches those configs do not (``EXTRA_CONFIGS``: a
 long-chain stationarity run, a Poisson SGD stationarity run started from
-the oracle, and a generalization run on a two-process pool), and per direct
+the oracle, and a full-batch generalization run, whose per-chain datasets
+thin against local bounds), and per direct
 call of the chain runners: both ensembles with snapshots and records,
 beta = 0 ensembles of both kinds, a mini-batch ensemble, a sampler whose
 ceiling is many floors high, a beta = 0.1 optimizer ensemble (its anchored
@@ -26,7 +27,6 @@ a few seconds.
 from __future__ import annotations
 
 import hashlib
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -36,7 +36,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from poisson_sgd.bps import BpsConfig, coupled_compare, run_bps, run_bps_ensemble  # noqa: E402
-from poisson_sgd.experiments import WORKERS_ENV, ExperimentConfig, run_experiment  # noqa: E402
+from poisson_sgd.experiments import ExperimentConfig, run_experiment  # noqa: E402
 from poisson_sgd.objectives import (  # noqa: E402
     double_well_1d,
     double_well_2d,
@@ -77,21 +77,18 @@ def _with_protocol(kind: str, **protocol) -> ExperimentConfig:
     return ExperimentConfig.from_dict({**base, "protocol": {**base["protocol"], **protocol}})
 
 
-# name -> (config, worker processes)
 EXTRA_CONFIGS = {
-    "stationarity_long_chain": (_with_protocol("stationarity", mode="long-chain", n_steps=200), 1),
-    "stationarity_poisson_sgd_oracle": (_with_protocol("stationarity", algorithm="poisson_sgd", init="oracle"), 1),
-    "generalization_two_workers": (TINY_CONFIGS["generalization"], 2),
+    "stationarity_long_chain": _with_protocol("stationarity", mode="long-chain", n_steps=200),
+    "stationarity_poisson_sgd_oracle": _with_protocol("stationarity", algorithm="poisson_sgd", init="oracle"),
+    "generalization_full_batch": _with_protocol("generalization", batch_size=0),
 }
 
 
 def artifact_lines() -> list[str]:
-    runs = {kind: (cfg, 1) for kind, cfg in TINY_CONFIGS.items()}
-    runs.update(EXTRA_CONFIGS)
+    runs = {**TINY_CONFIGS, **EXTRA_CONFIGS}
     lines = []
     with tempfile.TemporaryDirectory() as scratch:
-        for name, (cfg, workers) in sorted(runs.items()):
-            os.environ[WORKERS_ENV] = str(workers)
+        for name, cfg in sorted(runs.items()):
             out = Path(scratch) / name
             run_experiment(cfg, out)
             for path in sorted(p for p in out.rglob("*") if p.is_file()):
