@@ -49,8 +49,10 @@ class ObjectiveMetadata:
     """Optional smoothness constants: a Lipschitz constant of the per-sample
     gradient inside the box (seams aside).
 
-    When set, full-batch chains skip the rate evaluations that two-sided
-    local bounds built from it make unnecessary, without changing a draw;
+    A per-sample constant also bounds every mini-batch mean. When set,
+    chains skip the rate evaluations that two-sided local bounds built from
+    it make unnecessary, without changing a draw (full-batch chains once
+    their ceiling is many floors high, per-chain mini-batch chains always);
     an evaluated rate outside such bounds raises ``RateBoundError``, so a
     false constant aborts a run instead of biasing it. None bounds the rates
     by their envelope alone.

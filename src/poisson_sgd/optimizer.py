@@ -23,14 +23,17 @@ that returns that chain's record.
 Thinning evaluates a rate only where the proposal's bounds leave it
 undecided, and only before the ray's first sure acceptance (see
 :mod:`poisson_sgd.sampler`); the draws do not change. The bounds are the
-envelope ``[floor, ceiling]``. With a full batch, an objective that
-declares a Lipschitz constant and a ceiling at least
-``LOCAL_BOUND_MIN_SPREAD`` floors high, they narrow to two-sided local
-bounds up to each ray's first seam, anchored from the second step on at the
-rate the reflection gradient already gives. Rates are evaluated as a flat
-list of the undecided proposals. An objective whose chains each own a
-dataset (a stacked ``LinearRegressionObjective``) declares one gradient
-bound per chain, and each chain thins against its own ceiling.
+envelope ``[floor, ceiling]``. When the objective declares a Lipschitz
+constant they narrow to two-sided local bounds up to each ray's first seam,
+anchored at each ray's rate at r = 0. With a full batch that anchor is
+free from the second step on, the rate the reflection gradient already
+gives, and the local bounds are used once the ceiling is at least
+``LOCAL_BOUND_MIN_SPREAD`` floors high. Per-chain mini-batches pay one
+evaluated rate of each step's own batches for it, and always use them.
+Rates are evaluated as a flat list of the undecided proposals. An objective
+whose chains each own a dataset (a stacked ``LinearRegressionObjective``)
+declares one gradient bound per chain, and each chain thins against its own
+ceiling.
 """
 
 from __future__ import annotations
@@ -242,21 +245,25 @@ def _run_chains(
     floor = cfg.floor
     # one ceiling per chain when the objective bounds each chain's gradients
     ceiling = cfg.ceiling(objective.grad_norm_bound)
-    if np.shape(ceiling) not in ((), (N,)):
+    per_chain_data = np.ndim(ceiling) > 0
+    if per_chain_data and np.shape(ceiling) != (N,):
         raise ValueError(f"{objective.name} holds {len(ceiling)} per-chain datasets, not {N}")
-    # Local thinning bounds need a Lipschitz constant and pay off with a free
-    # anchor: the rate at r = 0 of the next step's rays, known from this
-    # step's reflection gradients because both use the full-batch field.
-    # Per-chain batches change the field every step, so they have no free
-    # anchor and thin against the envelope alone. The local bounds save more
-    # than their bookkeeping costs only when the ceiling is many floors high
-    # (never for coupled BPS, whose ceiling is below two floors).
+    # Local thinning bounds need a Lipschitz constant (a per-sample one bounds
+    # every batch mean too) and an anchor, the rate at r = 0 of each ray.
+    # With a full batch the anchor is free: this step's reflection gradients
+    # give the next step's, because both use the same field at the same
+    # point. They save more than their bookkeeping costs only when the
+    # ceiling is many floors high (never for coupled BPS, whose ceiling is
+    # below two floors). Per-chain batches change the field every step, so
+    # thinning evaluates each step's anchors, one rate of its own batches
+    # per ray. That saves about ceiling / floor - 1 evaluations per event,
+    # so it pays off above about two floors; every per-chain runner here
+    # runs far above that, so no gate is applied.
     lipschitz = objective.metadata.lipschitz_c1
     local_bounds = (
         lipschitz is not None
         and cfg.beta > 0.0
-        and not per_chain_batches
-        and np.min(ceiling) >= LOCAL_BOUND_MIN_SPREAD * floor
+        and (per_chain_batches or np.min(ceiling) >= LOCAL_BOUND_MIN_SPREAD * floor)
     )
     slope = cfg.beta * lipschitz if local_bounds else None
     anchors = None
@@ -304,6 +311,7 @@ def _run_chains(
                 rng,
                 slope=slope,
                 anchor_rates=anchors,
+                evaluate_anchors=local_bounds and per_chain_batches,
                 seam_radii=seams,
             )
         eta_sum += float(etas.sum())
@@ -317,17 +325,19 @@ def _run_chains(
         norms = np.linalg.norm(vels, axis=1)
         max_dev = max(max_dev, float(np.max(np.abs(norms - 1.0))))
         vels = vels / norms[:, None]
-        if local_bounds:
+        if local_bounds and not per_chain_batches:
             anchors = floor + cfg.beta * np.maximum(np.einsum("nd,nd->n", grads, vels), 0.0)
         if k in wanted:
             snapshots[k] = thetas.copy()
         if records and (k % cfg.record_stride == 0 or k == cfg.n_steps):
+            # chains that own a dataset are scored on it, all in one call
+            risks = objective.empirical_risk(thetas) if cfg.record_risk and per_chain_data else None
             for rec, i in zip(records, recorded):
                 row = {"grad_norm": float(np.linalg.norm(grads[i]))}
                 if per_chain_batches:
                     row["batch"] = idx[i].tolist()
                 if cfg.record_risk:
-                    row["risk"] = float(objective.empirical_risk(thetas[i]))
+                    row["risk"] = float(objective.empirical_risk(thetas[i]) if risks is None else risks[i])
                 if tags is not None:
                     row.update(tags(i))
                 rec.append(k, thetas[i], vels[i], eta=etas[i], **row)

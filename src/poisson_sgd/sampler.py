@@ -24,11 +24,13 @@ the ray crosses a seam, so a local bound holds only up to the ray's first
 seam crossing (``TorusDomain.first_seam_radii``, moved inward by a margin
 that floating-point rounding cannot cross); past it only the envelope
 decides. A row that draws again re-anchors at its last evaluated proposal.
-The chain loop supplies the first anchor for free: with a full batch the
-rate at ``r = 0`` follows from the gradient of the previous reflection,
-taken at the same point with the same field. Every evaluated rate is
-checked against both local bounds, so a false ``L`` aborts the run
-(``RateBoundError``), and against its own row's ceiling.
+Each ray's first anchor is its rate at ``r = 0``. With a full batch the
+chain loop supplies it for free, from the gradient of the previous
+reflection, taken at the same point with the same field; with per-chain
+mini-batches the thinning evaluates it (``evaluate_anchors``), one rate of
+the step's own batches per ray. Every evaluated rate is checked against
+both local bounds, so a false ``L`` aborts the run (``RateBoundError``),
+and against its own row's ceiling.
 """
 
 from __future__ import annotations
@@ -208,6 +210,7 @@ def thin_first_arrivals(
     *,
     slope: float | None = None,
     anchor_rates: np.ndarray | None = None,
+    evaluate_anchors: bool = False,
     seam_radii: np.ndarray | None = None,
 ) -> np.ndarray:
     """Vectorized exact first arrivals of inhomogeneous exponential laws.
@@ -254,6 +257,9 @@ def thin_first_arrivals(
         anchor_rates: (n,) rates at radius 0, which anchor each row's local
             bounds from the start; None leaves rows unanchored until they
             draw again.
+        evaluate_anchors: evaluate the rates at radius 0 through
+            ``rate_rows``, one per row, before drawing, and anchor on them
+            (instead of ``anchor_rates``).
         seam_radii: (n,) radii below which the rates are ``slope``-Lipschitz
             (+inf when they never jump); a row at or past its seam has no
             local bound. Required with ``slope``.
@@ -273,10 +279,12 @@ def thin_first_arrivals(
     if floor > lowest * (1.0 + _RTOL):
         raise ValueError("floor exceeds ceiling")
     if slope is None:
-        if anchor_rates is not None or seam_radii is not None:
-            raise ValueError("anchor_rates and seam_radii need a slope")
+        if anchor_rates is not None or evaluate_anchors or seam_radii is not None:
+            raise ValueError("anchor_rates, evaluate_anchors and seam_radii need a slope")
     elif not (math.isfinite(slope) and slope >= 0.0) or seam_radii is None:
         raise ValueError("slope must be finite and >= 0, with seam_radii")
+    if evaluate_anchors and anchor_rates is not None:
+        raise ValueError("pass anchor_rates or evaluate_anchors, not both")
     if block is None:
         block = int(min(max(math.ceil(1.3 * mean_ceiling / floor) + 2, 4), 4096))
     gen = as_generator(rng)
@@ -297,6 +305,8 @@ def thin_first_arrivals(
         # row has no anchor.
         lows = np.full(n, -np.inf)
         highs = np.full(n, np.inf)
+        if evaluate_anchors:
+            anchor_rates = _evaluate(rate_rows, np.zeros((n, 1)), np.arange(n))[:, 0]
         if anchor_rates is not None:
             anchor_q = np.asarray(anchor_rates, dtype=float)
             if anchor_q.shape != (n,):

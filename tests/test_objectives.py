@@ -219,6 +219,32 @@ def test_metadata_fields():
         assert meta.lipschitz_c1 > 0
 
 
+def test_declared_lipschitz_constants_bound_every_minibatch_field():
+    # local thinning bounds rest on these constants, and with them so few
+    # rates are evaluated that the runtime check rarely gets a chance: check
+    # each built-in's directly, on random batches and random point pairs in
+    # the box (the segment between two such points crosses no seam)
+    gen = RngStream(41).generator
+    objectives = [
+        double_well_1d(),
+        double_well_2d(),
+        quadratic_bowl(5.0 * gen.random((12, 3)), side_lengths=5.0),
+        linreg_synthetic(40, 3, 0.5, seed=2),
+    ]
+    assert {obj.name for obj in objectives} == set(BUILTIN_OBJECTIVES)
+    pairs = 4000
+    for obj in objectives:
+        lipschitz, n = obj.metadata.lipschitz_c1, obj.n_samples
+        a = obj.domain.sample_uniform(gen, pairs)
+        b = obj.domain.sample_uniform(gen, pairs)
+        b[::2] = a[::2] + 1e-3 * (b[::2] - a[::2])  # half the pairs are close
+        limit = lipschitz * np.linalg.norm(a - b, axis=1) * (1.0 + 1e-9) + 1e-10
+        for m in sorted({1, max(1, n // 4), n}):
+            field = obj.grad_field(_sample_batches(gen, pairs, n, m))
+            moved = np.linalg.norm(field(a) - field(b), axis=1)
+            assert np.all(moved <= limit), (obj.name, m, float(np.max(moved / limit)))
+
+
 # ----------------------------------------------------------------------
 # stacked per-chain datasets
 # ----------------------------------------------------------------------

@@ -247,21 +247,64 @@ def test_ensembles_refuse_a_false_lipschitz_constant():
         run_bps_ensemble(obj, cfg, 64)
 
 
+def _counting_copy(obj, metadata):
+    """A copy of ``obj`` with ``metadata`` whose gradient fields count the
+    points they evaluate in ``points``."""
+    twin = copy.copy(obj)
+    twin.metadata = metadata
+    twin.points = 0
+    build = twin.grad_field
+
+    def grad_field(batch=None):
+        field = build(batch)
+
+        def counted(points, rows=None):
+            twin.points += np.asarray(points).size // twin.domain.dim
+            return field(points, rows=rows)
+
+        return counted
+
+    twin.grad_field = grad_field
+    return twin
+
+
+def _stacked_linreg(seeds):
+    from poisson_sgd.objectives import LinearRegressionObjective, linreg_synthetic
+
+    trials = [linreg_synthetic(32, 2, 0.5, seed=s) for s in seeds]
+    stacked = LinearRegressionObjective(
+        np.stack([o.features for o in trials]), np.stack([o.targets for o in trials]), trials[0].domain
+    )
+    return trials, stacked
+
+
 def test_local_bounds_keep_every_draw():
     # the same chains with and without a Lipschitz constant: local bounds
-    # only skip rate evaluations, so every draw must agree exactly
+    # only skip rate evaluations, so every draw must agree exactly, and they
+    # must skip some; per-chain mini-batch chains anchor each step with one
+    # gradient of its own batches, and do so below 8 floors too
+    bowl = quadratic_bowl([[2.0, 3.0], [6.0, 5.0], [4.0, 8.0], [7.0, 1.0]], side_lengths=10.0)
+    _, stacked = _stacked_linreg(range(8))
+    minibatch = PoissonSgdConfig(beta=50.0, epsilon=0.005, n_steps=60, batch_size=8)
+    assert np.min(minibatch.ceiling(stacked.grad_norm_bound)) < 8 * minibatch.floor
     cases = [
-        (quadratic_bowl([[2.0, 3.0], [6.0, 5.0], [4.0, 8.0], [7.0, 1.0]], side_lengths=10.0), 2.0),
-        (double_well_2d(), 0.1),
+        (bowl, PoissonSgdConfig(beta=2.0, epsilon=0.5, n_steps=20), 500),
+        (double_well_2d(), PoissonSgdConfig(beta=0.1, epsilon=0.5, n_steps=20), 500),
+        (bowl, PoissonSgdConfig(beta=2.0, epsilon=0.5, n_steps=20, batch_size=2), 500),
+        (stacked, minibatch, 8),
     ]
-    for obj, beta in cases:
-        blind = copy.copy(obj)
-        blind.metadata = ObjectiveMetadata()
-        cfg = PoissonSgdConfig(beta=beta, epsilon=0.5, n_steps=20)
-        local = run_poisson_sgd_ensemble(obj, cfg, 500, rng=RngStream(10))
-        ceiling = run_poisson_sgd_ensemble(blind, cfg, 500, rng=RngStream(10))
-        assert np.array_equal(local.thetas, ceiling.thetas)
-        assert local.mean_eta == ceiling.mean_eta
+    for obj, cfg, n_chains in cases:
+        local = _counting_copy(obj, obj.metadata)
+        blind = _counting_copy(obj, ObjectiveMetadata())
+        runs = [
+            run_poisson_sgd_ensemble(twin, cfg, n_chains, rng=RngStream(10), record_chains=[1])
+            for twin in (local, blind)
+        ]
+        assert runs[0].thetas.tobytes() == runs[1].thetas.tobytes()
+        assert runs[0].velocities.tobytes() == runs[1].velocities.tobytes()
+        assert runs[0].mean_eta == runs[1].mean_eta
+        assert runs[0].records[0].rows == runs[1].records[0].rows
+        assert local.points < blind.points
     obj = double_well_1d()
     blind = copy.copy(obj)
     blind.metadata = ObjectiveMetadata()
@@ -270,6 +313,16 @@ def test_local_bounds_keep_every_draw():
     ceiling = run_bps_ensemble(blind, cfg, 500, rng=RngStream(12))
     assert np.array_equal(local.thetas, ceiling.thetas)
     assert np.array_equal(local.velocities, ceiling.velocities)
+
+
+def test_recorded_chains_of_stacked_datasets_are_scored_on_their_own():
+    trials, stacked = _stacked_linreg([3, 4, 5])
+    cfg = PoissonSgdConfig(beta=50.0, epsilon=0.005, n_steps=5, batch_size=8)
+    res = run_poisson_sgd_ensemble(stacked, cfg, 3, rng=RngStream(19), record_chains=[1, 2])
+    for rec, own in zip(res.records, trials[1:]):
+        assert len(rec.rows) == 5
+        for row in rec.rows:
+            assert row["risk"] == pytest.approx(float(own.empirical_risk(np.array(row["theta"]))), rel=1e-12)
 
 
 def test_record_header_is_the_config_and_ensembles_report_no_extras(tmp_path):

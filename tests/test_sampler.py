@@ -328,6 +328,30 @@ def test_local_bound_matches_oracle(field, anchored):
     assert wasserstein1_1d(draws, _oracle_cloud(fn, floor, breaks)) < 0.02
 
 
+@pytest.mark.parametrize("field", LOCAL_FIELDS, ids=[f[0] for f in LOCAL_FIELDS])
+def test_evaluated_anchors_match_given_anchors_plus_one_rate_per_row(field):
+    # anchors evaluated through rate_rows draw what the same anchors passed
+    # in draw, for exactly one more evaluation per row, all at radius 0
+    _, fn, floor, ceiling, slope, seam = field
+    n = 3000
+    seen = []
+
+    def rate_rows(radii, rows):
+        seen.append(radii.copy())
+        return fn(radii)
+
+    local = dict(slope=slope, seam_radii=np.full(n, seam))
+    evaluated = thin_first_arrivals(
+        rate_rows, n, floor, ceiling, RngStream(43), evaluate_anchors=True, **local
+    )
+    given_rows, given = _counted(fn)
+    anchors = np.full(n, float(fn(np.zeros(1))[0]))
+    draws = thin_first_arrivals(given_rows, n, floor, ceiling, RngStream(43), anchor_rates=anchors, **local)
+    assert evaluated.tobytes() == draws.tobytes()
+    assert seen[0].shape == (n, 1) and not seen[0].any()
+    assert sum(r.size for r in seen) == given["proposals"] + n
+
+
 def test_local_bound_skips_most_evaluations_under_a_loose_ceiling():
     # the ramp never exceeds 1.4; against a ceiling of 14 nine in ten
     # proposals are rejected, and the local bound sees most of them unevaluated
@@ -453,6 +477,20 @@ def test_local_bound_argument_validation():
     with pytest.raises(ValueError):
         thin_first_arrivals(rate_rows, 3, 1.0, 2.0, RngStream(0), anchor_rates=np.ones(3))
     with pytest.raises(ValueError):
+        thin_first_arrivals(rate_rows, 3, 1.0, 2.0, RngStream(0), evaluate_anchors=True)
+    with pytest.raises(ValueError):
+        thin_first_arrivals(
+            rate_rows,
+            3,
+            1.0,
+            2.0,
+            RngStream(0),
+            slope=1.0,
+            anchor_rates=np.ones(3),
+            evaluate_anchors=True,
+            seam_radii=np.ones(3),
+        )
+    with pytest.raises(ValueError):
         thin_first_arrivals(rate_rows, 3, 1.0, 2.0, RngStream(0), slope=1.0)
     with pytest.raises(ValueError):
         thin_first_arrivals(
@@ -472,6 +510,17 @@ def test_local_bound_argument_validation():
             RngStream(0),
             slope=1.0,
             anchor_rates=np.full(3, 5.0),
+            seam_radii=np.ones(3),
+        )
+    with pytest.raises(RateBoundError):
+        thin_first_arrivals(
+            lambda radii, rows: np.full_like(radii, 5.0),
+            3,
+            1.0,
+            2.0,
+            RngStream(0),
+            slope=1.0,
+            evaluate_anchors=True,
             seam_radii=np.ones(3),
         )
 

@@ -9,8 +9,9 @@ thin against local bounds), and per direct
 call of the chain runners: both ensembles with snapshots and records,
 beta = 0 ensembles of both kinds, a mini-batch ensemble, a sampler whose
 ceiling is many floors high, a beta = 0.1 optimizer ensemble (its anchored
-lower bounds accept proposals unevaluated), an optimizer ensemble whose
-anchored rows reach their seams, five single-chain records (one of them a
+lower bounds accept proposals unevaluated), two optimizer ensembles whose
+anchored rows reach their seams (one full batch, one on per-chain
+mini-batches), five single-chain records (one of them a
 per-chain mini-batch least-squares run) and ``coupled_compare``. A change
 that must keep every draw and every byte prints the same lines as its
 parent, so one ``diff`` compares them:
@@ -137,6 +138,16 @@ def runner_lines() -> list[str]:
             64,
             initial_points=np.r_[np.linspace(0.01, 0.1, 32), np.linspace(15.9, 15.99, 32)][:, None],
             initial_velocities=np.repeat([-1.0, 1.0], 32)[:, None],
+        ),
+        # per-chain batches anchored each step on a box of side 3, with a
+        # ceiling 3 floors high: about a fifth of the rows arrive past their seams
+        "poisson_sgd_ensemble_minibatch_at_seams": run_poisson_sgd_ensemble(
+            quadratic_bowl(
+                [[0.5, 1.0], [2.5, 0.5], [1.5, 2.5], [0.2, 2.8], [2.9, 2.0], [1.0, 1.5]], side_lengths=3.0
+            ),
+            PoissonSgdConfig(beta=0.5, epsilon=1.0, n_steps=30, batch_size=2, seed=19),
+            32,
+            record_chains=[5],
         ),
     }
     lines = [f"runner {name} {_ensemble_digest(res)}" for name, res in results.items()]
