@@ -54,10 +54,8 @@ from .records import RunRecord, canonical_json
 from .sampler import (
     RateBoundError,
     RayCdfInverter,
-    RayRate,
     RngStream,
-    sample_ray_exponential,
-    sample_ray_exponential_oracle,
+    ray_rate_rows,
     thin_first_arrivals,
     uniform_sphere,
 )
@@ -86,11 +84,9 @@ __all__ = [
     # randomness and event times
     "RngStream",
     "uniform_sphere",
-    "RayRate",
+    "ray_rate_rows",
     "RateBoundError",
     "RayCdfInverter",
-    "sample_ray_exponential",
-    "sample_ray_exponential_oracle",
     "thin_first_arrivals",
     # objectives
     "Objective",

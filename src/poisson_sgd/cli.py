@@ -17,13 +17,7 @@ from .experiments import ExperimentConfig, analyze_experiment, run_experiment
 from .metrics import lemma_wasserstein_bound_check, wasserstein1_1d
 from .objectives import BUILTIN_OBJECTIVES, double_well_1d, quadratic_bowl
 from .optimizer import PoissonSgdConfig, reflect, run_poisson_sgd, run_poisson_sgd_ensemble
-from .sampler import (
-    RayCdfInverter,
-    RayRate,
-    RngStream,
-    sample_ray_exponential,
-    uniform_sphere,
-)
+from .sampler import RayCdfInverter, RngStream, ray_rate_rows, thin_first_arrivals, uniform_sphere
 from .stationary import gamma_ratio_fences, sphere_cos_abs_mean, sphere_cos_plus_mean
 
 __all__ = ["main"]
@@ -120,25 +114,20 @@ def _check_sphere_moments() -> None:
 
 def _check_event_sampler() -> None:
     objective = quadratic_bowl([[2.0, 7.0]], side_lengths=10.0)
-    field = objective.grad_field(None)
+    domain = objective.domain
     base = np.array([5.0, 5.0])
     direction = np.array([1.0, 0.0])
-    rate = RayRate(
-        base_point=base,
-        direction=direction,
-        beta=0.7,
-        constant_floor=0.8,
-        grad_norm_bound=objective.grad_norm_bound,
-        grad_field=field,
-        wrap=objective.domain.wrap,
-        seam_radii=lambda length: objective.domain.ray_seam_radii(base, direction, length),
-    )
+    beta, floor = 0.7, 0.8
+    ceiling = beta * objective.grad_norm_bound + floor
+    rates = ray_rate_rows(objective.grad_field(None), domain.wrap, beta, floor, base[None], direction[None])
     rng_a = RngStream(11, spawn_key=(901,))
     rng_b = RngStream(12, spawn_key=(902,))
-    draws_a = np.array([sample_ray_exponential(rate, rng_a) for _ in range(3000)])
-    horizon = -np.log(1e-13) / rate.constant_floor
+    draws_a = np.concatenate([thin_first_arrivals(rates, 1, floor, ceiling, rng_a) for _ in range(3000)])
+    horizon = -np.log(1e-13) / floor
     inverter = RayCdfInverter(
-        rate.rate, rate.constant_floor, breakpoints=rate.seam_radii(horizon)
+        lambda t: rates(t[:, None], np.zeros(t.size, dtype=int))[:, 0],
+        floor,
+        breakpoints=domain.ray_seam_radii(base, direction, horizon),
     )
     draws_b = inverter.sample(rng_b, 3000)
     w1 = wasserstein1_1d(draws_a, draws_b)

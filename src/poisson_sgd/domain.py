@@ -153,10 +153,3 @@ class TorusDomain:
         speed = np.abs(directions)
         radii = np.divide(room, speed, out=np.full(room.shape, np.inf), where=speed > 0.0)
         return radii.min(axis=-1)
-
-    def to_dict(self) -> dict:
-        return {"dim": self.dim, "side_lengths": list(self.side_lengths)}
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "TorusDomain":
-        return cls(int(spec["dim"]), spec["side_lengths"])

@@ -11,8 +11,10 @@ no top-level key but its six fields; its ``protocol`` overrides the kind's
 defaults and may name no other key; a value the kind's runner would
 misread is refused when the config is built.
 
+A config builds its objective once, when it is made, so a spec that names
+no objective it can build is refused like a misread protocol.
 ``run_experiment`` owns the run directory. It resolves the protocol
-(``params``) and builds the objective once, then calls the kind's runner as
+(``params``) and takes the config's objective, then calls the kind's runner as
 ``runner(cfg, params, objective, out)``. The runner writes raw artifacts
 (endpoint arrays, records, reference grids) only through ``out``:
 ``out.save(name, array)`` writes an ``.npy`` file and ``out.file(name)``
@@ -55,7 +57,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Self-describing experiment spec; the JSON form is the source of truth."""
+    """Self-describing experiment spec; the JSON form is the source of truth.
+
+    ``built_objective`` is the objective that ``objective`` names, built
+    once when the config is made; it is not part of the spec.
+    """
 
     kind: str
     objective: dict
@@ -80,7 +86,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown {self.kind} protocol keys {unknown}; known: {sorted(known)}"
             )
-        _refuse_misread(self.kind, self.params(), self.objective)
+        objective = build_objective(self.objective)
+        _refuse_misread(self.kind, self.params(), self.objective, objective)
+        object.__setattr__(self, "built_objective", objective)
 
     def to_dict(self) -> dict:
         return {
@@ -97,6 +105,9 @@ class ExperimentConfig:
         unknown = sorted(set(spec) - set(known))
         if unknown:
             raise ValueError(f"unknown config keys {unknown}; known: {known}")
+        missing = [key for key in ("kind", "objective", "trials", "seed") if key not in spec]
+        if missing:
+            raise ValueError(f"missing config keys {missing}")
         return cls(
             kind=spec["kind"],
             objective=dict(spec["objective"]),
@@ -115,9 +126,6 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         return hashlib.sha256(canonical_json(self.to_dict()).encode()).hexdigest()[:16]
 
-    def build_objective(self) -> Objective:
-        return build_objective(self.objective)
-
     def stream(self, *key: int) -> RngStream:
         return RngStream(self.seed, spawn_key=tuple(int(k) for k in key))
 
@@ -126,8 +134,9 @@ class ExperimentConfig:
         return {**EXPERIMENT_KINDS[self.kind][2](), **self.protocol}
 
 
-def _refuse_misread(kind: str, params: dict, objective: dict) -> None:
-    """Refuse protocol values that a kind's runner would silently misread or ignore."""
+def _refuse_misread(kind: str, params: dict, spec: dict, objective: Objective) -> None:
+    """Refuse protocol values that a kind's runner would silently misread or
+    ignore; ``objective`` is the one ``spec`` names."""
 
     def require(key: str, allowed: tuple) -> None:
         if params[key] not in allowed:
@@ -148,7 +157,7 @@ def _refuse_misread(kind: str, params: dict, objective: dict) -> None:
         if params["algorithm"] == "poisson_sgd" and float(params["c_b"]) != 0.0:
             raise ValueError("c_b is a bps refresh constant: with algorithm poisson_sgd it must be 0")
         # the reference histogram merges whole cells of the normalization grid
-        cells = DEFAULT_RESOLUTIONS.get(build_objective(objective).domain.dim)
+        cells = DEFAULT_RESOLUTIONS.get(objective.domain.dim)
         bins = int(params["bins"])
         if cells is not None and not (1 <= bins <= cells and cells % bins == 0):
             raise ValueError(
@@ -163,11 +172,11 @@ def _refuse_misread(kind: str, params: dict, objective: dict) -> None:
             "noise": float(params["noise"]),
             "side": float(params["side"]),
         }
-        named = {"side": 6.0, **objective}  # linreg_synthetic's default side
+        named = {"side": 6.0, **spec}  # linreg_synthetic's default side
         if any(named.get(key) != value for key, value in drawn.items()):
             raise ValueError(
                 f"generalization objective must be linreg_synthetic with the protocol's "
-                f"d, noise and side {drawn}, got {objective}"
+                f"d, noise and side {drawn}, got {spec}"
             )
     elif kind == "baseline":
         require("algorithm", ("sgd", "sgld"))
@@ -651,8 +660,7 @@ def make_linreg_with_holdout(
     """Train objective on n samples plus a held-out test block from the same
     generator (one draw of n + n_test rows, split deterministically)."""
     full = linreg_synthetic(int(n) + int(n_test), d, noise, seed, side)
-    spec = {"seed": int(seed), "noise": float(noise), "side": float(side), "n_test": int(n_test)}
-    train = LinearRegressionObjective(full.features[:n], full.targets[:n], full.domain, generator_spec=spec)
+    train = LinearRegressionObjective(full.features[:n], full.targets[:n], full.domain)
     return train, full.features[n:], full.targets[n:]
 
 
@@ -781,7 +789,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     runner, _, _ = EXPERIMENT_KINDS[cfg.kind]
     params = cfg.params()
     out = _RunDir(out_dir)
-    runner(cfg, params, cfg.build_objective(), out)
+    runner(cfg, params, cfg.built_objective, out)
     out.file("params.json").write_text(canonical_json(params) + "\n")
     _write_manifest(out_dir, cfg, [cfg.seed], out.names + ["summary.csv", "summary.json", "plot.py"])
     summary = analyze_experiment(out_dir)
@@ -798,7 +806,7 @@ def analyze_experiment(out_dir) -> dict:
     manifest = _load_manifest(out_dir)
     cfg = ExperimentConfig.from_dict(manifest["config"])
     _, analyzer, _ = EXPERIMENT_KINDS[cfg.kind]
-    summary = analyzer(cfg, cfg.params(), cfg.build_objective(), out_dir)
+    summary = analyzer(cfg, cfg.params(), cfg.built_objective, out_dir)
     table = summary["table"]
     _write_csv(out_dir / "summary.csv", list(table[0]), [list(row.values()) for row in table])
     summary = {"kind": cfg.kind, "config_hash": manifest["config_hash"], **summary}

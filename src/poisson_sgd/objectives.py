@@ -12,10 +12,8 @@ then one per chain, and each chain's gradients are checked against its own.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -313,7 +311,6 @@ class LinearRegressionObjective(Objective):
         features,
         targets,
         domain: TorusDomain,
-        generator_spec: dict | None = None,
         name: str = "linreg_synthetic",
     ):
         X = np.asarray(features, dtype=float)
@@ -334,7 +331,6 @@ class LinearRegressionObjective(Objective):
         super().__init__(domain, n, bound, name, meta)
         self.features = X
         self.targets = y
-        self.generator_spec = dict(generator_spec or {})
         # the rows of every dataset, flat: chain t's row i is row t * n + i
         self._X = X.reshape(-1, d)
         self._y = y.reshape(-1)
@@ -383,26 +379,6 @@ class LinearRegressionObjective(Objective):
         flat = resid.reshape(lead, -1, resid.shape[-1])
         grad = np.matmul(flat, Xb) / Xb.shape[1]
         return grad.reshape(theta.shape)
-
-    def to_json(self, path) -> None:
-        """Persist the dataset and its generation parameters for replay."""
-        spec = dict(self.generator_spec)
-        spec.update(
-            {
-                "n": self.n_samples,
-                "d": self.domain.dim,
-                "X": self.features.tolist(),
-                "y": self.targets.tolist(),
-            }
-        )
-        Path(path).write_text(json.dumps(spec, sort_keys=True, indent=1) + "\n")
-
-    @classmethod
-    def from_json(cls, path) -> "LinearRegressionObjective":
-        spec = json.loads(Path(path).read_text())
-        domain = TorusDomain(int(spec["d"]), spec.get("side", 6.0))
-        keys = {k: spec[k] for k in ("seed", "noise", "side") if k in spec}
-        return cls(spec["X"], spec["y"], domain, generator_spec=keys)
 
 
 def check_gradient(obj: Objective, theta, step: float | None = None) -> float:
@@ -558,14 +534,7 @@ def linreg_synthetic(
     X = gen.standard_normal((int(n), int(d)))
     theta_true = side * (0.25 + 0.5 * gen.random(int(d)))
     y = X @ theta_true + (noise * gen.standard_normal(int(n)) if noise > 0 else 0.0)
-    domain = TorusDomain(int(d), side)
-    spec = {
-        "seed": int(seed),
-        "noise": float(noise),
-        "side": float(side),
-        "theta_true": theta_true.tolist(),
-    }
-    return LinearRegressionObjective(X, y, domain, generator_spec=spec)
+    return LinearRegressionObjective(X, y, TorusDomain(int(d), side))
 
 
 BUILTIN_OBJECTIVES: dict[str, Callable[..., Objective]] = {
@@ -579,9 +548,12 @@ BUILTIN_OBJECTIVES: dict[str, Callable[..., Objective]] = {
 def build_objective(spec: dict) -> Objective:
     """Construct a built-in objective from a config mapping {"name", ...}."""
     spec = dict(spec)
-    name = spec.pop("name")
+    name = spec.pop("name", None)
     if name not in BUILTIN_OBJECTIVES:
         raise ValueError(
-            f"unknown objective {name!r}; available: {sorted(BUILTIN_OBJECTIVES)}"
+            f"unknown objective name {name!r}; available: {sorted(BUILTIN_OBJECTIVES)}"
         )
-    return BUILTIN_OBJECTIVES[name](**spec)
+    try:
+        return BUILTIN_OBJECTIVES[name](**spec)
+    except TypeError as exc:  # a keyword the factory does not take, or lacks
+        raise ValueError(f"objective {name}: {exc}") from exc

@@ -30,7 +30,9 @@ free from the second step on, the rate the reflection gradient already
 gives, and the local bounds are used once the ceiling is at least
 ``LOCAL_BOUND_MIN_SPREAD`` floors high. Per-chain mini-batches pay one
 evaluated rate of each step's own batches for it, and always use them.
-Rates are evaluated as a flat list of the undecided proposals. An objective
+Each step's rays thin against ``sampler.ray_rate_rows`` over the step's
+gradient field, the same rate the event-law oracles test; it is evaluated
+as a flat list of the undecided proposals. An objective
 whose chains each own a dataset (a stacked ``LinearRegressionObjective``)
 declares one gradient bound per chain, and each chain thins against its own
 ceiling.
@@ -46,7 +48,7 @@ import numpy as np
 
 from .objectives import Objective, _SampledBatches
 from .records import RunRecord
-from .sampler import RngStream, thin_first_arrivals, uniform_sphere
+from .sampler import RngStream, ray_rate_rows, thin_first_arrivals, uniform_sphere
 
 __all__ = [
     "reflect",
@@ -240,7 +242,6 @@ def _run_chains(
     if not 1 <= m <= n:
         raise ValueError(f"batch_size must lie in [1, {n}], got {cfg.batch_size}")
     per_chain_batches = m < n
-    full_field = objective.grad_field(None)
 
     floor = cfg.floor
     # one ceiling per chain when the objective bounds each chain's gradients
@@ -267,15 +268,7 @@ def _run_chains(
     )
     slope = cfg.beta * lipschitz if local_bounds else None
     anchors = None
-    fld = full_field
-
-    def rate_rows(radii: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # reads the step's thetas, vels and field when thinning calls it
-        heading = vels[rows]
-        pts = thetas[rows, None, :] + radii[..., None] * heading[:, None, :]
-        grads = fld(domain.wrap(pts), rows=rows)
-        proj = np.einsum("kbd,kd->kb", grads, heading)
-        return cfg.beta * np.maximum(proj, 0.0) + floor
+    fld = objective.grad_field(None)
 
     wanted = {int(s) for s in snapshot_steps}
     snapshots: dict[int, np.ndarray] = {}
@@ -304,7 +297,7 @@ def _run_chains(
         else:
             seams = domain.first_seam_radii(thetas, vels) if local_bounds else None
             etas = thin_first_arrivals(
-                rate_rows,
+                ray_rate_rows(fld, domain.wrap, cfg.beta, floor, thetas, vels),
                 N,
                 floor,
                 ceiling,

@@ -2,7 +2,9 @@
 
 The event law shared by the optimizer and the sampler has survival function
 ``exp(-int_0^t rate(r) dr)`` with ``rate(r) = beta * <g(x + r v), v>_+ + C``.
-Two independent routes draw from it: Poisson thinning (primary; exact whenever
+``ray_rate_rows`` is the one implementation of that rate: the chains thin
+against it, and the tests hand the same callback to the oracle. Two
+independent routes draw from it: Poisson thinning (primary; exact whenever
 the declared ceiling really dominates) and a tabulated inverse CDF built by
 quadrature (test oracle). They share no code beyond the rate callable.
 
@@ -46,11 +48,9 @@ __all__ = [
     "RngStream",
     "as_generator",
     "uniform_sphere",
-    "RayRate",
+    "ray_rate_rows",
     "thin_first_arrivals",
-    "sample_ray_exponential",
     "RayCdfInverter",
-    "sample_ray_exponential_oracle",
 ]
 
 _RTOL = 1e-9
@@ -134,69 +134,34 @@ def _check_rate_envelope(values: np.ndarray, floor: float, ceiling) -> None:
         )
 
 
-GradientField = Callable[[np.ndarray], np.ndarray]
+def ray_rate_rows(
+    field: Callable[..., np.ndarray],
+    wrap: Callable[[np.ndarray], np.ndarray],
+    beta: float,
+    floor: float,
+    starts: np.ndarray,
+    headings: np.ndarray,
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The ``rate_rows`` callback of ``thin_first_arrivals`` for the rays
+    ``starts[i] + r * headings[i]``: ``beta * <g(x), headings[i]>_+ + floor``.
 
-
-@dataclass
-class RayRate:
-    """Directional event rate ``r -> beta * <g(base + r*direction), v>_+ + floor``.
-
-    ``grad_norm_bound`` must dominate ``||g||`` along the whole ray; the
-    implied ceiling is what makes thinning exact, so every evaluation is
-    checked against both ends of the envelope and a violation aborts the draw.
-    When ``wrap`` is given (any callable mapping raw points into the geometry,
-    like ``TorusDomain.wrap``) ray points are passed through it before the
-    gradient evaluation; otherwise ``grad_field`` must be geometry-aware.
+    ``field(points, rows=rows)`` gives the gradients ``g`` at points of the
+    listed rays, each from its own row's field (an objective's
+    ``grad_field``); ``wrap`` maps ray points into the geometry first (e.g.
+    ``TorusDomain.wrap``). ``starts`` and ``headings`` are (n, d), the
+    headings unit vectors. This is the one rate both chains draw from;
+    ``thin_first_arrivals`` checks every rate it returns against the
+    envelope.
     """
 
-    base_point: np.ndarray
-    direction: np.ndarray
-    beta: float
-    constant_floor: float
-    grad_field: GradientField
-    grad_norm_bound: float
-    wrap: Callable[[np.ndarray], np.ndarray] | None = None
-    # radii in (0, length) where the rate may jump (e.g. periodic seam
-    # crossings); quadrature oracles integrate piecewise between them
-    seam_radii: Callable[[float], np.ndarray] | None = None
+    def rate_rows(radii: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        heading = headings[rows]
+        points = starts[rows, None, :] + radii[..., None] * heading[:, None, :]
+        grads = field(wrap(points), rows=rows)
+        proj = np.einsum("kbd,kd->kb", grads, heading)
+        return beta * np.maximum(proj, 0.0) + floor
 
-    def __post_init__(self) -> None:
-        self.base_point = np.asarray(self.base_point, dtype=float)
-        self.direction = np.asarray(self.direction, dtype=float)
-        if (
-            self.base_point.ndim != 1
-            or self.base_point.shape != self.direction.shape
-        ):
-            raise ValueError("base_point and direction must be equal-length 1-d arrays")
-        if abs(np.linalg.norm(self.direction) - 1.0) > 1e-9:
-            raise ValueError("direction must be a unit vector")
-        if not (math.isfinite(self.constant_floor) and self.constant_floor > 0.0):
-            raise ValueError("constant_floor must be positive (guarantees termination)")
-        if not (math.isfinite(self.beta) and self.beta >= 0.0):
-            raise ValueError("beta must be finite and >= 0")
-        if not (math.isfinite(self.grad_norm_bound) and self.grad_norm_bound >= 0.0):
-            raise ValueError("grad_norm_bound must be finite and >= 0")
-
-    @property
-    def upper_bound(self) -> float:
-        return self.beta * self.grad_norm_bound + self.constant_floor
-
-    def rate(self, radii) -> np.ndarray:
-        radii = np.asarray(radii, dtype=float)
-        points = self.base_point + radii[..., None] * self.direction
-        if self.wrap is not None:
-            points = self.wrap(points)
-        grads = np.asarray(self.grad_field(points), dtype=float)
-        if grads.shape != points.shape:
-            raise ValueError(
-                f"grad_field returned shape {grads.shape} for points {points.shape}"
-            )
-        proj = np.einsum("...d,d->...", grads, self.direction)
-        values = self.beta * np.maximum(proj, 0.0) + self.constant_floor
-        _check_rate_envelope(np.atleast_1d(values), self.constant_floor, self.upper_bound)
-        return values
-
-    __call__ = rate
+    return rate_rows
 
 
 def thin_first_arrivals(
@@ -387,16 +352,6 @@ def _check_local_bounds(rates: np.ndarray, outside: np.ndarray) -> None:
         )
 
 
-def sample_ray_exponential(rate: RayRate, rng: RngStream) -> float:
-    """One exact draw of the first arrival along ``rate``'s ray (thinning)."""
-
-    def rows(radii: np.ndarray, _rows: np.ndarray) -> np.ndarray:
-        return rate.rate(radii)
-
-    out = thin_first_arrivals(rows, 1, rate.constant_floor, rate.upper_bound, rng)
-    return float(out[0])
-
-
 class RayCdfInverter:
     """Tabulated inverse CDF of the first-arrival law for an arbitrary rate.
 
@@ -515,19 +470,3 @@ def _cumtrapz(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     steps = np.diff(x) * 0.5 * (y[1:] + y[:-1])
     return np.concatenate([[0.0], np.cumsum(steps)])
 
-
-def sample_ray_exponential_oracle(
-    rate: RayRate, rng, tol: float = 1e-8, breakpoints=None
-) -> float:
-    """One draw from the same law as ``sample_ray_exponential`` via the
-    quadrature + inverse-CDF route. Slow by design; use for cross-checks.
-
-    ``breakpoints=None`` asks the rate for its own jump radii (when it carries
-    a ``seam_radii`` provider); pass an explicit sequence to override.
-    """
-    floor = rate.constant_floor
-    if breakpoints is None:
-        horizon = -math.log(1e-13) / floor
-        breakpoints = rate.seam_radii(horizon) if rate.seam_radii is not None else ()
-    inverter = RayCdfInverter(rate.rate, floor, tol=tol, breakpoints=breakpoints)
-    return float(inverter.sample(rng))

@@ -281,12 +281,6 @@ class StationaryDensity:
             got += take
         return out
 
-    def acceptance_rate(self, resolution: int | None = None) -> float:
-        """Expected rejection-sampling acceptance: Z / (envelope * volume)."""
-        grid = self.grid(resolution)
-        envelope = 1.1 * self._max_on_grid
-        return float(grid.z / (envelope * self.objective.domain.volume()))
-
 
 def grid_mean_risk(objective: Objective, resolution: int = 512) -> float:
     """Mean empirical risk under the uniform law, by midpoint quadrature."""

@@ -32,9 +32,8 @@ from poisson_sgd.optimizer import (
 )
 from poisson_sgd.sampler import (
     RayCdfInverter,
-    RayRate,
     RngStream,
-    sample_ray_exponential,
+    ray_rate_rows,
     thin_first_arrivals,
     uniform_sphere,
 )
@@ -134,24 +133,105 @@ def test_criterion_02_reflection_algebra(criteria):
     )
 
 
+def _ray_rates(objective, beta, floor, start, heading, n):
+    """The chains' rate (``ray_rate_rows``) on ``n`` identical full-batch rays."""
+    starts = np.broadcast_to(start, (n, start.size))
+    headings = np.broadcast_to(heading, (n, start.size))
+    return ray_rate_rows(objective.grad_field(None), objective.domain.wrap, beta, floor, starts, headings)
+
+
+def _along(rates):
+    """Ray 0's rate as a function of 1-d radii, the oracle's callable."""
+    return lambda t: rates(t[:, None], np.zeros(t.size, dtype=int))[:, 0]
+
+
+# the one-step oracle's cases: objective, chain config, and each group's
+# start and heading; the first double_well_2d group is criterion 3's seam ray
+ONE_STEP_CASES = {
+    "double_well_2d full batch": (
+        double_well_2d(),
+        PoissonSgdConfig(beta=3e-5, epsilon=0.5, n_steps=1),
+        [([39.6, 20.3], [0.8, 0.6]), ([1.0, 12.0], [-0.6, -0.8]), ([30.0, 35.0], [0.6, -0.8])],
+    ),
+    # every center is the same, so each chain's batch has the full field
+    "bowl per-chain batches": (
+        quadratic_bowl([[2.0, 7.0]] * 4, side_lengths=10.0),
+        PoissonSgdConfig(beta=0.7, epsilon=1.25, n_steps=1, batch_size=2),
+        [([5.0, 5.0], [1.0, 0.0]), ([1.0, 7.0], [-1.0, 0.0]), ([8.0, 9.5], [0.6, 0.8])],
+    ),
+}
+
+
+def one_step_oracle_gate(n_chains: int = 30_000, seed: int = 904):
+    """Criterion 3's one-step oracle: the chains' own rate, on their own path.
+
+    In each case ``n_chains`` chains take one step through
+    ``run_poisson_sgd_ensemble``. Chain i belongs to group i % G and starts
+    from that group's (theta, v), so a rate that reads another row's point
+    or heading reads another group's. Each group's recorded etas are
+    compared (W1) with the quantiles of ``RayCdfInverter`` on the group's
+    ray, built from ``ray_rate_rows``. A group's limit is twice the largest
+    W1 of 20 draws of the same size from that oracle; resampling 1000 such
+    draws per group, the oracle's own draws reach it about once in 10^4
+    (and 1.5 times the largest, about once in 400). Returns the problems
+    and the largest W1 / limit ratio.
+    """
+    problems = []
+    worst = 0.0
+    for c, (name, (objective, cfg, groups)) in enumerate(ONE_STEP_CASES.items()):
+        G = len(groups)
+        starts = np.array([start for start, _ in groups] * (n_chains // G), dtype=float)
+        headings = np.array([heading for _, heading in groups] * (n_chains // G), dtype=float)
+        res = run_poisson_sgd_ensemble(
+            objective,
+            cfg,
+            len(starts),
+            rng=RngStream(seed, spawn_key=(c,)),
+            initial_points=starts,
+            initial_velocities=headings,
+            record_chains=range(len(starts)),
+        )
+        etas = np.array([rec.rows[-1]["eta"] for rec in res.records])
+        for g in range(G):
+            start, heading = starts[g], headings[g]
+            # the oracle's ray starts one box side further along every axis,
+            # at the same point of the torus: its rates equal the chains'
+            # only through ``wrap``
+            rates = ray_rate_rows(
+                objective.grad_field(None),
+                objective.domain.wrap,
+                cfg.beta,
+                cfg.floor,
+                (start + objective.domain.sides)[None],
+                heading[None],
+            )
+            horizon = -math.log(1e-13) / cfg.floor
+            oracle = RayCdfInverter(
+                _along(rates), cfg.floor, breakpoints=objective.domain.ray_seam_radii(start, heading, horizon)
+            )
+            cloud = oracle.ppf((np.arange(200_000) + 0.5) / 200_000)
+            spread = [
+                wasserstein1_1d(oracle.sample(RngStream(seed, spawn_key=(c, g, k)), etas[g::G].size), cloud)
+                for k in range(20)
+            ]
+            limit = 2.0 * max(spread)
+            w1 = wasserstein1_1d(etas[g::G], cloud)
+            worst = max(worst, w1 / limit)
+            if w1 >= limit:
+                problems.append(f"{name} group {g}: one-step W1 {w1:.4f} >= {limit:.4f}")
+    return problems, worst
+
+
 def test_criterion_03_learning_rate_law(criteria):
     t0 = time.perf_counter()
     problems = []
 
-    # (a) constant-rate special case through the scalar production sampler
+    # (a) constant-rate special case through one-ray draws of the chains' rate
     obj = quadratic_bowl([[2.0, 7.0]], side_lengths=10.0)
     base, direction = np.array([5.0, 5.0]), np.array([1.0, 0.0])
-    const_rate = RayRate(
-        base_point=base,
-        direction=direction,
-        beta=0.0,
-        constant_floor=2.0,
-        grad_field=obj.grad_field(None),
-        grad_norm_bound=obj.grad_norm_bound,
-        wrap=obj.domain.wrap,
-    )
+    const_rate = _ray_rates(obj, 0.0, 2.0, base, direction, 1)
     rng = RngStream(901)
-    draws = np.array([sample_ray_exponential(const_rate, rng) for _ in range(100_000)])
+    draws = np.concatenate([thin_first_arrivals(const_rate, 1, 2.0, 2.0, rng) for _ in range(100_000)])
     ks_scalar = ks_statistic(draws, lambda t: 1.0 - np.exp(-2.0 * t))
     if ks_scalar >= 0.006:
         problems.append(f"scalar KS {ks_scalar:.4f}")
@@ -173,30 +253,14 @@ def test_criterion_03_learning_rate_law(criteria):
     # (c) thinning vs inverse-CDF oracle on five rate fields, at the ceiling
     # and against local bounds (Lipschitz slope up to the first seam)
     # anchored at r = 0, plus a double_well_2d ray that crosses a seam; the
-    # local bounds only skip evaluations, so their draws equal the ceiling's
-    ray = RayRate(
-        base_point=base,
-        direction=direction,
-        beta=0.7,
-        constant_floor=0.8,
-        grad_field=obj.grad_field(None),
-        grad_norm_bound=obj.grad_norm_bound,
-        wrap=obj.domain.wrap,
-        seam_radii=lambda length: obj.domain.ray_seam_radii(base, direction, length),
-    )
+    # local bounds only skip evaluations, so their draws equal the ceiling's.
+    # The two rays are the chains' own rate, on 100000 identical rays
+    n = 100_000
     horizon = -math.log(1e-13) / 0.8
+    ray = _ray_rates(obj, 0.7, 0.8, base, direction, n)
     dw = double_well_2d()
     dw_base, dw_direction = np.array([39.6, 20.3]), np.array([0.8, 0.6])
-    dw_ray = RayRate(
-        base_point=dw_base,
-        direction=dw_direction,
-        beta=3e-5,
-        constant_floor=2.0,
-        grad_field=dw.grad_field(None),
-        grad_norm_bound=dw.grad_norm_bound,
-        wrap=dw.domain.wrap,
-        seam_radii=lambda length: dw.domain.ray_seam_radii(dw_base, dw_direction, length),
-    )
+    dw_ray = _ray_rates(dw, 3e-5, 2.0, dw_base, dw_direction, n)
 
     def piecewise(t):
         t = np.asarray(t, dtype=float)
@@ -205,47 +269,56 @@ def test_criterion_03_learning_rate_law(criteria):
     def first_seam(domain, start, heading):
         return float(domain.first_seam_radii(start[None], heading[None])[0])
 
-    # name, rate, floor, ceiling, jump radii, Lipschitz slope, first jump
+    def radial(fn):
+        return lambda radii, rows: fn(radii)
+
+    # name, rate_rows, floor, ceiling, jump radii, Lipschitz slope, first jump
     fields = [
-        ("ramp", lambda t: 0.8 + 0.6 * (1.0 - np.exp(-np.asarray(t))), 0.8, 1.4, (), 0.6, math.inf),
-        ("sin", lambda t: 1.0 + 0.5 * np.sin(2.2 * np.asarray(t) + 0.4), 0.5, 1.5, (), 1.1, math.inf),
-        ("bump", lambda t: 0.9 + 1.8 * np.exp(-((np.asarray(t) - 1.2) ** 2) / 0.18), 0.9, 2.7, (), 3.7, math.inf),
-        ("jumps", piecewise, 0.8, 2.4, (0.7, 1.5), 0.0, 0.7),
+        ("ramp", radial(lambda t: 0.8 + 0.6 * (1.0 - np.exp(-np.asarray(t)))), 0.8, 1.4, (), 0.6, math.inf),
+        ("sin", radial(lambda t: 1.0 + 0.5 * np.sin(2.2 * np.asarray(t) + 0.4)), 0.5, 1.5, (), 1.1, math.inf),
+        (
+            "bump",
+            radial(lambda t: 0.9 + 1.8 * np.exp(-((np.asarray(t) - 1.2) ** 2) / 0.18)),
+            0.9,
+            2.7,
+            (),
+            3.7,
+            math.inf,
+        ),
+        ("jumps", radial(piecewise), 0.8, 2.4, (0.7, 1.5), 0.0, 0.7),
         (
             "ray",
-            ray.rate,
+            ray,
             0.8,
-            ray.upper_bound,
-            tuple(ray.seam_radii(horizon)),
-            ray.beta * obj.metadata.lipschitz_c1,
+            0.7 * obj.grad_norm_bound + 0.8,
+            tuple(obj.domain.ray_seam_radii(base, direction, horizon)),
+            0.7 * obj.metadata.lipschitz_c1,
             first_seam(obj.domain, base, direction),
         ),
         (
             "dw2d seam",
-            dw_ray.rate,
+            dw_ray,
             2.0,
-            dw_ray.upper_bound,
-            tuple(dw_ray.seam_radii(-math.log(1e-13) / 2.0)),
-            dw_ray.beta * dw.metadata.lipschitz_c1,
+            3e-5 * dw.grad_norm_bound + 2.0,
+            tuple(dw.domain.ray_seam_radii(dw_base, dw_direction, -math.log(1e-13) / 2.0)),
+            3e-5 * dw.metadata.lipschitz_c1,
             first_seam(dw.domain, dw_base, dw_direction),
         ),
     ]
     w1s = {}
     skipped = 0
-    for i, (name, fn, floor, ceiling, breaks, slope, seam) in enumerate(fields):
-        thin = thin_first_arrivals(
-            lambda radii, rows: fn(radii), 100_000, floor, ceiling, RngStream(700 + i)
-        )
+    for i, (name, rate_rows, floor, ceiling, breaks, slope, seam) in enumerate(fields):
+        fn = _along(rate_rows)
+        thin = thin_first_arrivals(rate_rows, n, floor, ceiling, RngStream(700 + i))
         inv = RayCdfInverter(fn, floor, breakpoints=breaks)
         cloud = inv.ppf((np.arange(400_000) + 0.5) / 400_000)
         w1s[name] = wasserstein1_1d(thin, cloud)
         evaluated = {"local": 0, "ceiling": 0}
 
-        def counted(radii, rows, fn=fn, key="local"):
+        def counted(radii, rows, rate_rows=rate_rows, key="local"):
             evaluated[key] += radii.size
-            return fn(radii)
+            return rate_rows(radii, rows)
 
-        n = 100_000
         local = thin_first_arrivals(
             counted,
             n,
@@ -283,6 +356,10 @@ def test_criterion_03_learning_rate_law(criteria):
     if res.mean_eta > 1.0 / cfg.c_p + 3 * se:
         problems.append(f"mean eta {res.mean_eta:.5f} > 1/C_P + 3SE")
 
+    # (e) one step of the chains themselves against the oracle on their rays
+    one_step_problems, one_step_worst = one_step_oracle_gate()
+    problems += one_step_problems
+
     dt = time.perf_counter() - t0
     criteria.check(
         3,
@@ -292,7 +369,8 @@ def test_criterion_03_learning_rate_law(criteria):
         or f"KS {max(ks_scalar, *ks_vec.values()):.4f} (limit 0.006), "
         f"max field W1 {max(w1s.values()):.4f} (limit 0.01) over {len(w1s)} ceiling and "
         f"local-bound draws ({skipped} evaluations skipped), "
-        f"mean eta {res.mean_eta:.5f} <= {1.0 / cfg.c_p:.3f}; {dt:.0f}s",
+        f"mean eta {res.mean_eta:.5f} <= {1.0 / cfg.c_p:.3f}, one-step W1 at most "
+        f"{one_step_worst:.2f} of its limit; {dt:.0f}s",
     )
 
 

@@ -119,16 +119,18 @@ def test_unknown_protocol_keys_are_refused(tmp_path, capsys):
 
 
 def test_unknown_config_keys_are_refused(tmp_path, capsys):
-    spec = {**TINY_CONFIGS["baseline"].to_dict(), "protocl": {"n_steps": 5}}
-    with pytest.raises(ValueError, match="protocl"):
-        ExperimentConfig.from_dict(spec)
+    base = TINY_CONFIGS["baseline"].to_dict()
+    without_trials = {key: value for key, value in base.items() if key != "trials"}
+    for spec, named in (({**base, "protocl": {"n_steps": 5}}, "protocl"), (without_trials, "trials")):
+        with pytest.raises(ValueError, match=named):
+            ExperimentConfig.from_dict(spec)
 
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(spec))
-    out = tmp_path / "run"
-    assert main(["run", str(cfg_path), "--out", str(out)]) == 2
-    assert "protocl" in capsys.readouterr().err
-    assert not out.exists()
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(spec))
+        out = tmp_path / "run"
+        assert main(["run", str(cfg_path), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["beta_sweep", "baseline", "generalization"])
@@ -166,6 +168,9 @@ MISREAD_PROTOCOLS = {
     "generalization_objective_d_differs": ("generalization", {"objective": {**LINREG, "d": 3}}, "objective"),
     "generalization_objective_noise_differs": ("generalization", {"objective": {**LINREG, "noise": 0.1}}, "objective"),
     "generalization_objective_side_differs": ("generalization", {"objective": {**LINREG, "side": 5.0}}, "objective"),
+    "baseline_objective_without_name": ("baseline", {"objective": {"nam": "double_well_1d"}}, "name"),
+    "baseline_objective_unknown_keyword": ("baseline", {"objective": {"name": "double_well_2d", "sidee": 3}}, "sidee"),
+    "baseline_unknown_objective": ("baseline", {"objective": {"name": "no_such_objective"}}, "no_such_objective"),
 }
 
 

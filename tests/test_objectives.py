@@ -132,7 +132,7 @@ def test_grad_field_row_paired_batches():
         assert np.allclose(out[k], expect)
 
 
-def test_linreg_objective_values_and_serialization(tmp_path):
+def test_linreg_objective_values():
     obj = linreg_synthetic(24, 2, 0.1, seed=9)
     theta = np.array([1.0, 2.0])
     X, y = obj.features, obj.targets
@@ -140,13 +140,6 @@ def test_linreg_objective_values_and_serialization(tmp_path):
     assert abs(obj.empirical_risk(theta) - expect) < 1e-12
     expect_grad = X.T @ (X @ theta - y) / len(y)
     assert np.allclose(obj.grad(theta), expect_grad)
-
-    path = tmp_path / "dataset.json"
-    obj.to_json(path)
-    back = LinearRegressionObjective.from_json(path)
-    assert np.array_equal(back.features, obj.features)
-    assert np.array_equal(back.targets, obj.targets)
-    assert back.domain.side_lengths == obj.domain.side_lengths
 
 
 def test_linreg_same_seed_same_bytes():

@@ -6,13 +6,12 @@ from scipy import integrate, stats
 
 from poisson_sgd.domain import TorusDomain
 from poisson_sgd.objectives import quadratic_bowl
+from poisson_sgd.optimizer import PoissonSgdConfig, run_poisson_sgd_ensemble
 from poisson_sgd.sampler import (
     RateBoundError,
     RayCdfInverter,
-    RayRate,
     RngStream,
-    sample_ray_exponential,
-    sample_ray_exponential_oracle,
+    ray_rate_rows,
     thin_first_arrivals,
     uniform_sphere,
 )
@@ -53,7 +52,7 @@ def test_uniform_sphere_d1_is_signs():
 
 
 def _constant_field(value):
-    def field(points):
+    def field(points, rows=None):
         out = np.zeros_like(points)
         out[..., 0] = value
         return out
@@ -61,55 +60,65 @@ def _constant_field(value):
     return field
 
 
-def _make_rate(beta=0.5, floor=0.8, value=3.0, bound=None):
-    return RayRate(
-        base_point=np.zeros(2),
-        direction=np.array([1.0, 0.0]),
-        beta=beta,
-        constant_floor=floor,
-        grad_field=_constant_field(value),
-        grad_norm_bound=abs(value) if bound is None else bound,
+def _ray(field, beta, floor, base, direction, wrap=lambda points: points, n=1):
+    """``ray_rate_rows`` for ``n`` identical rays from ``base`` along ``direction``."""
+    base = np.asarray(base, dtype=float)
+    direction = np.asarray(direction, dtype=float)
+    return ray_rate_rows(
+        field, wrap, beta, floor, np.broadcast_to(base, (n, base.size)), np.broadcast_to(direction, (n, base.size))
     )
 
 
+def _along(rates):
+    """Ray 0's rate as a function of 1-d radii, the oracle's callable."""
+    return lambda t: rates(np.asarray(t, dtype=float)[:, None], np.zeros(np.size(t), dtype=int))[:, 0]
+
+
+def _draw_one_by_one(rates, floor, ceiling, rng, count):
+    """``count`` one-ray draws in a row from one stream."""
+    return np.concatenate([thin_first_arrivals(rates, 1, floor, ceiling, rng) for _ in range(count)])
+
+
 def test_ray_rate_values_and_ceiling():
-    rate = _make_rate(beta=0.5, floor=0.8, value=3.0)
-    assert np.allclose(rate.rate(np.linspace(0, 5, 7)), 0.5 * 3.0 + 0.8)
-    assert rate.upper_bound == 0.5 * 3.0 + 0.8
+    rates = _ray(_constant_field(3.0), 0.5, 0.8, [0.0, 0.0], [1.0, 0.0], n=64)
+    assert np.allclose(_along(rates)(np.linspace(0, 5, 7)), 0.5 * 3.0 + 0.8)
+    # beta * |g| + floor is the ceiling: the rate reaches it, never passes it
+    thin_first_arrivals(rates, 64, 0.8, 0.5 * 3.0 + 0.8, RngStream(0))
     # negative projection clips to the floor
-    neg = _make_rate(beta=0.5, floor=0.8, value=-3.0)
-    assert np.allclose(neg.rate(np.array([0.0, 1.0])), 0.8)
+    neg = _ray(_constant_field(-3.0), 0.5, 0.8, [0.0, 0.0], [1.0, 0.0])
+    assert np.allclose(_along(neg)(np.array([0.0, 1.0])), 0.8)
 
 
 def test_ray_rate_validation():
+    # a ray's arguments are checked where they enter: the floor by thinning,
+    # beta by the chain configs, unit headings by the chain loop
+    rates = _ray(_constant_field(1.0), 1.0, 1.0, [0.0, 0.0], [1.0, 0.0])
     with pytest.raises(ValueError):
-        _make_rate(floor=0.0)
+        thin_first_arrivals(rates, 1, 0.0, 2.0, RngStream(0))
     with pytest.raises(ValueError):
-        _make_rate(beta=-1.0)
-    with pytest.raises(ValueError):
-        RayRate(
-            base_point=np.zeros(2),
-            direction=np.array([1.0, 1.0]),  # not unit
-            beta=1.0,
-            constant_floor=1.0,
-            grad_field=_constant_field(1.0),
-            grad_norm_bound=1.0,
+        PoissonSgdConfig(beta=-1.0, epsilon=1.0, n_steps=1)
+    with pytest.raises(ValueError, match="unit"):
+        run_poisson_sgd_ensemble(
+            quadratic_bowl([[2.0, 7.0]]),
+            PoissonSgdConfig(beta=1.0, epsilon=1.0, n_steps=1),
+            1,
+            initial_velocities=[[1.0, 1.0]],  # not unit
         )
 
 
 def test_ray_rate_envelope_violation_raises():
     # declared bound 1 but true gradient norm 3: thinning would be wrong,
     # so evaluation must abort instead
-    rate = _make_rate(beta=1.0, floor=0.5, value=3.0, bound=1.0)
+    n = 64
+    rates = _ray(_constant_field(3.0), 1.0, 0.5, [0.0, 0.0], [1.0, 0.0], n=n)
     with pytest.raises(RateBoundError):
-        rate.rate(np.array([0.0]))
+        thin_first_arrivals(rates, n, 0.5, 1.0 * 1.0 + 0.5, RngStream(0))
 
 
 def test_constant_rate_reduces_to_exponential():
     lam = 2.5
-    rate = _make_rate(beta=1.0, floor=lam, value=0.0)
-    rng = RngStream(17)
-    draws = np.array([sample_ray_exponential(rate, rng) for _ in range(4000)])
+    rates = _ray(_constant_field(0.0), 1.0, lam, [0.0, 0.0], [1.0, 0.0])
+    draws = _draw_one_by_one(rates, lam, lam, RngStream(17), 4000)
     ks = stats.kstest(draws, "expon", args=(0.0, 1.0 / lam)).statistic
     assert ks < 0.03
     assert abs(draws.mean() - 1.0 / lam) < 5 * (1.0 / lam) / np.sqrt(4000)
@@ -147,28 +156,20 @@ def test_thin_first_arrivals_requires_positive_floor():
 
 def test_thinning_matches_oracle_smooth_field():
     # rate 0.8 + 0.6 r on an unbounded ray: closed-form hazard available
-    def field(points):
+    def field(points, rows=None):
         out = np.zeros_like(points)
         out[..., 0] = points[..., 0]
         return out
 
-    rate = RayRate(
-        base_point=np.zeros(1),
-        direction=np.ones(1),
-        beta=0.6,
-        constant_floor=0.8,
-        grad_field=field,
-        grad_norm_bound=120.0,
-    )
-    inverter = RayCdfInverter(rate.rate, 0.8)
+    rates = _ray(field, 0.6, 0.8, [0.0], [1.0])
+    inverter = RayCdfInverter(_along(rates), 0.8)
     # hazard H(t) = 0.8 t + 0.3 t^2; compare against closed form
     ts = np.linspace(0.0, 5.0, 9)
     idx = np.searchsorted(inverter.times, ts)
     closed = 0.8 * inverter.times[idx] + 0.3 * inverter.times[idx] ** 2
     assert np.max(np.abs(inverter.cumhaz[idx] - closed)) < 1e-7
 
-    rng = RngStream(23)
-    thin = np.array([sample_ray_exponential(rate, rng) for _ in range(6000)])
+    thin = _draw_one_by_one(rates, 0.8, 0.6 * 120.0 + 0.8, RngStream(23), 6000)
     qs = inverter.ppf((np.arange(80000) + 0.5) / 80000)
     from poisson_sgd.metrics import wasserstein1_1d
 
@@ -181,25 +182,15 @@ def test_inverter_matches_quadrature_with_seams():
     objective = quadratic_bowl([[2.0, 7.0]], side_lengths=10.0)
     base = np.array([5.0, 5.0])
     direction = np.array([1.0, 0.0])
-    rate = RayRate(
-        base_point=base,
-        direction=direction,
-        beta=0.7,
-        constant_floor=0.8,
-        grad_field=objective.grad_field(None),
-        grad_norm_bound=objective.grad_norm_bound,
-        wrap=objective.domain.wrap,
-        seam_radii=lambda length: objective.domain.ray_seam_radii(
-            base, direction, length
-        ),
-    )
+    rates = _ray(objective.grad_field(None), 0.7, 0.8, base, direction, objective.domain.wrap)
+    rate = _along(rates)
     horizon = -math.log(1e-13) / 0.8
     inverter = RayCdfInverter(
-        rate.rate, 0.8, breakpoints=objective.domain.ray_seam_radii(base, direction, horizon)
+        rate, 0.8, breakpoints=objective.domain.ray_seam_radii(base, direction, horizon)
     )
 
     def scalar_rate(r):
-        return float(rate.rate(np.array([r]))[0])
+        return float(rate(np.array([r]))[0])
 
     for t in (1.0, 4.0, 6.5, 11.0, 20.0):
         ref, err = integrate.quad(scalar_rate, 0.0, t, limit=400, points=[5.0, 15.0])
@@ -211,37 +202,16 @@ def test_inverter_matches_quadrature_with_seams():
         assert abs(inverter.cumhaz[k] - ref_grid) < 1e-6, f"hazard off at t={t}"
 
     # and the oracle route agrees with thinning in distribution
-    rng = RngStream(29)
-    thin = np.array([sample_ray_exponential(rate, rng) for _ in range(4000)])
+    ceiling = 0.7 * objective.grad_norm_bound + 0.8
+    thin = _draw_one_by_one(rates, 0.8, ceiling, RngStream(29), 4000)
     oracle = inverter.ppf((np.arange(80000) + 0.5) / 80000)
     from poisson_sgd.metrics import wasserstein1_1d
 
     assert wasserstein1_1d(thin, oracle) < 0.03
 
 
-def test_oracle_uses_rate_seam_radii_automatically():
-    objective = quadratic_bowl([[2.0, 7.0]], side_lengths=10.0)
-    base = np.array([5.0, 5.0])
-    direction = np.array([1.0, 0.0])
-    rate = RayRate(
-        base_point=base,
-        direction=direction,
-        beta=0.7,
-        constant_floor=0.8,
-        grad_field=objective.grad_field(None),
-        grad_norm_bound=objective.grad_norm_bound,
-        wrap=objective.domain.wrap,
-        seam_radii=lambda length: objective.domain.ray_seam_radii(
-            base, direction, length
-        ),
-    )
-    val = sample_ray_exponential_oracle(rate, RngStream(31))
-    assert 0.0 < val < 50.0
-
-
 def test_ppf_edges_and_monotonicity():
-    rate = _make_rate(beta=0.0, floor=2.0, value=0.0)
-    inverter = RayCdfInverter(rate.rate, 2.0)
+    inverter = RayCdfInverter(_along(_ray(_constant_field(0.0), 0.0, 2.0, [0.0, 0.0], [1.0, 0.0])), 2.0)
     us = np.linspace(0.0, 0.999999, 500)
     qs = inverter.ppf(us)
     assert np.all(np.diff(qs) >= 0.0)
@@ -265,15 +235,20 @@ def test_inverter_rejects_rate_below_floor():
 # ----------------------------------------------------------------------
 
 
-def _counted(fn):
+def _counted(rate_rows):
     calls = {"rounds": 0, "proposals": 0}
 
-    def rate_rows(radii, rows):
+    def counted(radii, rows):
         calls["rounds"] += 1
         calls["proposals"] += radii.size
-        return fn(radii)
+        return rate_rows(radii, rows)
 
-    return rate_rows, calls
+    return counted, calls
+
+
+def _radial(fn):
+    """The ``rate_rows`` of rays that all share the rate ``fn(radii)``."""
+    return lambda radii, rows: fn(radii)
 
 
 def _oracle_cloud(fn, floor, breakpoints=()):
@@ -306,7 +281,7 @@ def test_local_bound_matches_oracle(field, anchored):
     n = 20000
     # from the ceiling, one proposal per round makes most rows re-anchor
     block = None if anchored else 1
-    rate_rows, calls = _counted(fn)
+    rate_rows, calls = _counted(_radial(fn))
     draws = thin_first_arrivals(
         rate_rows,
         n,
@@ -318,7 +293,7 @@ def test_local_bound_matches_oracle(field, anchored):
         anchor_rates=np.full(n, float(fn(np.zeros(1))[0])) if anchored else None,
         seam_radii=np.full(n, seam),
     )
-    plain_rows, plain_calls = _counted(fn)
+    plain_rows, plain_calls = _counted(_radial(fn))
     plain = thin_first_arrivals(plain_rows, n, floor, ceiling, RngStream(41), block=block)
     # the local bound only skips evaluations; every draw is the ceiling's
     assert np.array_equal(draws, plain)
@@ -344,7 +319,7 @@ def test_evaluated_anchors_match_given_anchors_plus_one_rate_per_row(field):
     evaluated = thin_first_arrivals(
         rate_rows, n, floor, ceiling, RngStream(43), evaluate_anchors=True, **local
     )
-    given_rows, given = _counted(fn)
+    given_rows, given = _counted(_radial(fn))
     anchors = np.full(n, float(fn(np.zeros(1))[0]))
     draws = thin_first_arrivals(given_rows, n, floor, ceiling, RngStream(43), anchor_rates=anchors, **local)
     assert evaluated.tobytes() == draws.tobytes()
@@ -357,7 +332,7 @@ def test_local_bound_skips_most_evaluations_under_a_loose_ceiling():
     # proposals are rejected, and the local bound sees most of them unevaluated
     fn = LOCAL_FIELDS[0][1]
     n = 5000
-    rate_rows, calls = _counted(fn)
+    rate_rows, calls = _counted(_radial(fn))
     draws = thin_first_arrivals(
         rate_rows,
         n,
@@ -368,7 +343,7 @@ def test_local_bound_skips_most_evaluations_under_a_loose_ceiling():
         anchor_rates=np.full(n, 0.8),
         seam_radii=np.full(n, np.inf),
     )
-    plain_rows, plain_calls = _counted(fn)
+    plain_rows, plain_calls = _counted(_radial(fn))
     assert np.array_equal(draws, thin_first_arrivals(plain_rows, n, 0.8, 14.0, RngStream(48)))
     assert calls["proposals"] < 0.2 * plain_calls["proposals"]
 
@@ -388,17 +363,12 @@ def _concave_circle():
     )
 
 
-def _seam_ray(objective, base, direction, beta, floor):
-    return RayRate(
-        base_point=np.asarray(base, dtype=float),
-        direction=np.asarray(direction, dtype=float),
-        beta=beta,
-        constant_floor=floor,
-        grad_field=objective.grad_field(None),
-        grad_norm_bound=objective.grad_norm_bound,
-        wrap=objective.domain.wrap,
-        seam_radii=lambda length: objective.domain.ray_seam_radii(base, direction, length),
-    )
+def _seam_ray(objective, base, direction, beta, floor, n):
+    """The rates of ``n`` identical rays, their ceiling and their jump radii."""
+    rates = _ray(objective.grad_field(None), beta, floor, base, direction, objective.domain.wrap, n)
+    horizon = -math.log(1e-13) / floor
+    jumps = objective.domain.ray_seam_radii(np.asarray(base, dtype=float), np.asarray(direction, dtype=float), horizon)
+    return rates, beta * objective.grad_norm_bound + floor, jumps
 
 
 @pytest.mark.parametrize("case", ["double_well_2d", "concave_circle"])
@@ -406,32 +376,30 @@ def test_local_bound_across_a_seam_matches_oracle(case):
     from poisson_sgd.metrics import wasserstein1_1d
     from poisson_sgd.objectives import double_well_2d
 
+    n = 20000
     if case == "double_well_2d":
         # the rate falls at the seam: the wells rise toward the box faces
-        objective, base, direction = double_well_2d(), [39.6, 20.3], [0.8, 0.6]
-        ray = _seam_ray(objective, base, direction, 3e-5, 2.0)
+        objective, base, direction, beta, floor = double_well_2d(), [39.6, 20.3], [0.8, 0.6], 3e-5, 2.0
     else:
-        objective, base, direction = _concave_circle(), [9.0], [1.0]
-        ray = _seam_ray(objective, base, direction, 0.4, 1.0)
-    seam = objective.domain.first_seam_radii(ray.base_point[None], ray.direction[None])
-    n = 20000
-    rate_rows, calls = _counted(ray.rate)
+        objective, base, direction, beta, floor = _concave_circle(), [9.0], [1.0], 0.4, 1.0
+    rates, ceiling, jumps = _seam_ray(objective, base, direction, beta, floor, n)
+    seam = objective.domain.first_seam_radii(np.array([base]), np.array([direction]))
+    rate_rows, calls = _counted(rates)
     draws = thin_first_arrivals(
         rate_rows,
         n,
-        ray.constant_floor,
-        ray.upper_bound,
+        floor,
+        ceiling,
         RngStream(43),
-        slope=ray.beta * objective.metadata.lipschitz_c1,
-        anchor_rates=np.full(n, ray.rate(np.zeros(1))[0]),
+        slope=beta * objective.metadata.lipschitz_c1,
+        anchor_rates=np.full(n, _along(rates)(np.zeros(1))[0]),
         seam_radii=np.full(n, seam[0]),
     )
-    plain_rows, plain_calls = _counted(ray.rate)
-    plain = thin_first_arrivals(plain_rows, n, ray.constant_floor, ray.upper_bound, RngStream(43))
+    plain_rows, plain_calls = _counted(rates)
+    plain = thin_first_arrivals(plain_rows, n, floor, ceiling, RngStream(43))
     assert np.array_equal(draws, plain)
     assert calls["proposals"] < plain_calls["proposals"]
-    horizon = -math.log(1e-13) / ray.constant_floor
-    cloud = _oracle_cloud(ray.rate, ray.constant_floor, ray.seam_radii(horizon))
+    cloud = _oracle_cloud(_along(rates), floor, jumps)
     assert 0.1 < np.mean(draws > seam[0]) < 0.9
     assert wasserstein1_1d(draws, cloud) < 0.02
 
@@ -439,18 +407,17 @@ def test_local_bound_across_a_seam_matches_oracle(case):
 def test_ignoring_an_upward_seam_raises():
     # thinning the concave circle's ray as if the rate stayed Lipschitz past
     # its seam lets evaluated rates exceed their bound; that must abort
-    objective = _concave_circle()
-    ray = _seam_ray(objective, [9.0], [1.0], 0.4, 1.0)
     n = 2000
+    rates, ceiling, _ = _seam_ray(_concave_circle(), [9.0], [1.0], 0.4, 1.0, n)
     with pytest.raises(RateBoundError, match="local bound"):
         thin_first_arrivals(
-            lambda radii, rows: ray.rate(radii),
+            rates,
             n,
             1.0,
-            ray.upper_bound,
+            ceiling,
             RngStream(44),
             slope=0.4,
-            anchor_rates=np.full(n, ray.rate(np.zeros(1))[0]),
+            anchor_rates=np.full(n, _along(rates)(np.zeros(1))[0]),
             seam_radii=np.full(n, np.inf),
         )
 
@@ -679,9 +646,9 @@ def test_equal_per_row_ceilings_draw_the_shared_ceilings_bytes(block):
     n = 4000
     local = dict(slope=3.7, anchor_rates=np.full(n, float(fn(np.zeros(1))[0])), seam_radii=np.full(n, 2.5))
     for bounds in ({}, local):
-        shared_rows, shared_calls = _counted(fn)
+        shared_rows, shared_calls = _counted(_radial(fn))
         shared = thin_first_arrivals(shared_rows, n, 0.9, 2.7, RngStream(62), block=block, **bounds)
-        rows_rows, rows_calls = _counted(fn)
+        rows_rows, rows_calls = _counted(_radial(fn))
         per_row = thin_first_arrivals(rows_rows, n, 0.9, np.full(n, 2.7), RngStream(62), block=block, **bounds)
         assert shared.tobytes() == per_row.tobytes()
         assert shared_calls == rows_calls

@@ -194,16 +194,6 @@ def test_rejection_sampler_envelope_guard():
         sd.sample(1000, RngStream(3))
 
 
-def test_acceptance_rate():
-    obj = double_well_1d()
-    # constant density accepts at exactly 1/1.1 (the envelope headroom)
-    flat = StationaryDensity(obj, beta=0.0, epsilon=0.5)
-    assert flat.acceptance_rate(256) == pytest.approx(1.0 / 1.1, rel=1e-9)
-    peaked = StationaryDensity(obj, beta=0.01, epsilon=0.5)
-    rate = peaked.acceptance_rate(4096)
-    assert 0.0 < rate < 1.0 / 1.1
-
-
 def test_grid_mean_risk_closed_form():
     # bowl risk |theta - 5|^2 / 2 on a length-10 circle: uniform mean is 25/6
     obj = quadratic_bowl([[5.0]], side_lengths=10.0)

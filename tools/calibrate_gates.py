@@ -1,16 +1,18 @@
 """Opt-in false-fail calibration of the acceptance battery's statistical gates.
 
-Reruns the protocols and gates of criteria 4, 5, 8, 9 and 10 (the ``*_gate``
-helpers of ``tests/test_acceptance.py``) at reduced cost over extra seeds
-and reports how often each gate fails. It is not part of Tier-1: at the
-default sizes one code version takes about half an hour on two CPUs.
+Reruns the protocols and gates of criteria 3 (its one-step oracle), 4, 5,
+8, 9 and 10 (the ``*_gate`` helpers of ``tests/test_acceptance.py``) at
+reduced cost over extra seeds and reports how often each gate fails. It is
+not part of Tier-1: at the default sizes one code version takes about half
+an hour on two CPUs.
 
     PYTHONPATH=src python3 tools/calibrate_gates.py [--seeds 20] [--first 1] \
-        [--criteria 4,5,8,9,10] [--full] [--json out.json]
+        [--criteria 3,4,5,8,9,10] [--full] [--json out.json]
 
 Extra seed ``s`` (1, 2, ...) replaces a criterion's pinned seed ``p`` with
 ``p + 1000 * s``; the pinned runs themselves are not repeated. ``REDUCED``
-lists the sizes and ``--full`` restores the battery's own. Fewer chains or
+lists the sizes and ``--full`` restores the battery's own (criterion 3
+runs at its own size either way: it takes a few seconds). Fewer chains or
 trials add sampling noise, so a gate whose failures come from noise fails
 at least as often reduced as at full size. Criterion 5 runs fewer steps,
 which checks the same invariance claim over a shorter time. Point
@@ -32,14 +34,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 import test_acceptance as battery  # noqa: E402
 
 # the size argument of each gate helper: reduced, and as in the battery
-REDUCED = {4: 10_000, 5: 50_000, 8: 25, 9: 20, 10: 10}
-FULL = {4: 100_000, 5: 1_000_000, 8: 100, 9: 50, 10: 50}
-UNIT = {4: "chains", 5: "steps", 8: "trials", 9: "trials", 10: "trials"}
+REDUCED = {3: 30_000, 4: 10_000, 5: 50_000, 8: 25, 9: 20, 10: 10}
+FULL = {3: 30_000, 4: 100_000, 5: 1_000_000, 8: 100, 9: 50, 10: 50}
+UNIT = {3: "chains", 4: "chains", 5: "steps", 8: "trials", 9: "trials", 10: "trials"}
 
 
 def run_gate(criterion: int, extra: int, size: int, scratch: Path) -> tuple[bool, str]:
     """One run of a criterion's gate at extra seed ``extra`` and ``size``."""
     shift = 1000 * extra
+    if criterion == 3:
+        problems, worst = battery.one_step_oracle_gate(n_chains=size, seed=904 + shift)
+        return not problems, "; ".join(problems) or f"one-step W1 at most {worst:.2f} of its limit"
     if criterion == 4:
         problems, detail = battery.sampler_stationarity_gate(n_chains=size, seed=41 + shift)
         return not problems, "; ".join(problems) or detail
@@ -60,7 +65,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, default=20, help="extra seeds per criterion")
     parser.add_argument("--first", type=int, default=1, help="first extra seed")
-    parser.add_argument("--criteria", default="4,5,8,9,10", help="comma-separated numbers")
+    parser.add_argument("--criteria", default="3,4,5,8,9,10", help="comma-separated numbers")
     parser.add_argument("--full", action="store_true", help="run at the battery's own sizes")
     parser.add_argument("--json", type=Path, help="also write every run to this file")
     args = parser.parse_args(argv)
