@@ -96,9 +96,6 @@ class TorusDomain:
         """Largest geodesic distance: half the norm of the side-length vector."""
         return 0.5 * float(np.linalg.norm(self.sides))
 
-    def volume(self) -> float:
-        return float(np.prod(self.sides))
-
     def contains(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         self._check_points(points, "point")

@@ -48,12 +48,11 @@ class ObjectiveMetadata:
     gradient inside the box (seams aside).
 
     A per-sample constant also bounds every mini-batch mean. When set,
-    chains skip the rate evaluations that two-sided local bounds built from
-    it make unnecessary, without changing a draw (full-batch chains once
-    their ceiling is many floors high, per-chain mini-batch chains always);
-    an evaluated rate outside such bounds raises ``RateBoundError``, so a
-    false constant aborts a run instead of biasing it. None bounds the rates
-    by their envelope alone.
+    chains with ``beta > 0`` skip the rate evaluations that two-sided local
+    bounds built from it make unnecessary, without changing a draw; an
+    evaluated rate outside such bounds raises ``RateBoundError``, so a
+    false constant aborts a run once an evaluation exposes it. None bounds
+    the rates by their envelope alone.
     """
 
     lipschitz_c1: float | None = None

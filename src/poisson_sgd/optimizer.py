@@ -25,11 +25,12 @@ undecided, and only before the ray's first sure acceptance (see
 :mod:`poisson_sgd.sampler`); the draws do not change. The bounds are the
 envelope ``[floor, ceiling]``. When the objective declares a Lipschitz
 constant they narrow to two-sided local bounds up to each ray's first seam,
-anchored at each ray's rate at r = 0. With a full batch that anchor is
-free from the second step on, the rate the reflection gradient already
-gives, and the local bounds are used once the ceiling is at least
-``LOCAL_BOUND_MIN_SPREAD`` floors high. Per-chain mini-batches pay one
-evaluated rate of each step's own batches for it, and always use them.
+anchored at each ray's rate at r = 0, at any spread of ceiling over floor.
+With a full batch that anchor is free from the second step on, the rate
+the reflection gradient already gives; per-chain mini-batches pay one
+evaluated rate of each step's own batches for it. Thinning asks for the
+seams and the free anchors only of rays whose first proposal the envelope
+leaves open, so where the envelope decides every ray they cost nothing.
 Each step's rays thin against ``sampler.ray_rate_rows`` over the step's
 gradient field, the same rate the event-law oracles test; it is evaluated
 as a flat list of the undecided proposals. An objective
@@ -59,9 +60,6 @@ __all__ = [
 ]
 
 ZERO_GRAD_TOL = 1e-12
-# smallest ceiling / floor at which chains thin against local bounds; below
-# it the rate evaluations they save cost less than their bookkeeping
-LOCAL_BOUND_MIN_SPREAD = 8.0
 
 
 def reflect(v, g, tol: float = ZERO_GRAD_TOL):
@@ -177,6 +175,17 @@ def _sample_batches(gen: np.random.Generator, n_chains: int, n: int, m: int) -> 
     return np.sort(idx, axis=1).view(_SampledBatches)
 
 
+def _seam_radii(domain, starts: np.ndarray, headings: np.ndarray):
+    """``seam_radii`` of ``thin_first_arrivals`` for the rays ``starts[i] + r * headings[i]``."""
+    return lambda rows: domain.first_seam_radii(starts[rows], headings[rows])
+
+
+def _start_rates(grads: np.ndarray, headings: np.ndarray, beta: float, floor: float):
+    """``anchor_rates`` of ``thin_first_arrivals``: the rates at r = 0 of rays
+    heading along ``headings`` from the points where ``grads`` were taken."""
+    return lambda rows: floor + beta * np.maximum(np.einsum("kd,kd->k", grads[rows], headings[rows]), 0.0)
+
+
 def _run_chains(
     objective: Objective,
     cfg,
@@ -253,19 +262,12 @@ def _run_chains(
     # every batch mean too) and an anchor, the rate at r = 0 of each ray.
     # With a full batch the anchor is free: this step's reflection gradients
     # give the next step's, because both use the same field at the same
-    # point. They save more than their bookkeeping costs only when the
-    # ceiling is many floors high (never for coupled BPS, whose ceiling is
-    # below two floors). Per-chain batches change the field every step, so
-    # thinning evaluates each step's anchors, one rate of its own batches
-    # per ray. That saves about ceiling / floor - 1 evaluations per event,
-    # so it pays off above about two floors; every per-chain runner here
-    # runs far above that, so no gate is applied.
+    # point. Per-chain batches change the field every step, so thinning
+    # evaluates each step's anchors, one rate of its own batches per ray.
+    # Thinning asks for seams and free anchors only for the rows whose first
+    # proposal the envelope leaves open.
     lipschitz = objective.metadata.lipschitz_c1
-    local_bounds = (
-        lipschitz is not None
-        and cfg.beta > 0.0
-        and (per_chain_batches or np.min(ceiling) >= LOCAL_BOUND_MIN_SPREAD * floor)
-    )
+    local_bounds = lipschitz is not None and cfg.beta > 0.0
     slope = cfg.beta * lipschitz if local_bounds else None
     anchors = None
     fld = objective.grad_field(None)
@@ -295,7 +297,6 @@ def _run_chains(
             # rate is exactly the constant floor: draw directly
             etas = gen.exponential(1.0 / floor, size=N)
         else:
-            seams = domain.first_seam_radii(thetas, vels) if local_bounds else None
             etas = thin_first_arrivals(
                 ray_rate_rows(fld, domain.wrap, cfg.beta, floor, thetas, vels),
                 N,
@@ -305,7 +306,7 @@ def _run_chains(
                 slope=slope,
                 anchor_rates=anchors,
                 evaluate_anchors=local_bounds and per_chain_batches,
-                seam_radii=seams,
+                seam_radii=_seam_radii(domain, thetas, vels) if local_bounds else None,
             )
         eta_sum += float(etas.sum())
 
@@ -319,7 +320,7 @@ def _run_chains(
         max_dev = max(max_dev, float(np.max(np.abs(norms - 1.0))))
         vels = vels / norms[:, None]
         if local_bounds and not per_chain_batches:
-            anchors = floor + cfg.beta * np.maximum(np.einsum("nd,nd->n", grads, vels), 0.0)
+            anchors = _start_rates(grads, vels, cfg.beta, floor)
         if k in wanted:
             snapshots[k] = thetas.copy()
         if records and (k % cfg.record_stride == 0 or k == cfg.n_steps):

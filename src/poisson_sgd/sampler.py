@@ -30,9 +30,11 @@ Each ray's first anchor is its rate at ``r = 0``. With a full batch the
 chain loop supplies it for free, from the gradient of the previous
 reflection, taken at the same point with the same field; with per-chain
 mini-batches the thinning evaluates it (``evaluate_anchors``), one rate of
-the step's own batches per ray. Every evaluated rate is checked against
-both local bounds, so a false ``L`` aborts the run (``RateBoundError``),
-and against its own row's ceiling.
+the step's own batches per ray. A ray whose first level lies below the
+floor arrives at its first proposal, so seams and free anchors are asked
+for only for the other rays. Every evaluated rate is checked against both
+local bounds, so a false ``L`` aborts the run (``RateBoundError``) once an
+evaluation exposes it, and against its own row's ceiling.
 """
 
 from __future__ import annotations
@@ -174,9 +176,9 @@ def thin_first_arrivals(
     max_proposals: int = 200_000_000,
     *,
     slope: float | None = None,
-    anchor_rates: np.ndarray | None = None,
+    anchor_rates: Callable[[np.ndarray], np.ndarray] | None = None,
     evaluate_anchors: bool = False,
-    seam_radii: np.ndarray | None = None,
+    seam_radii: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
     """Vectorized exact first arrivals of inhomogeneous exponential laws.
 
@@ -205,6 +207,13 @@ def thin_first_arrivals(
     false ``slope`` or ceiling raises ``RateBoundError`` whichever side it
     breaks. The evaluated proposals go to ``rate_rows`` as one flat list.
 
+    The envelope alone decides every row whose first level lies below the
+    floor: it arrives at its first proposal. All further work of a round,
+    the local bounds included, covers only the other rows, so seams and
+    anchors are asked for only for rows with an open first proposal, once
+    each, and a round in which no row has one costs its draws and one
+    comparison.
+
     Args:
         rate_rows: callback mapping (radii (k, 1), rows (k,)) -> rates (k, 1),
             where ``rows`` indexes which of the n rays each radius belongs
@@ -219,15 +228,17 @@ def thin_first_arrivals(
             mean ceiling so one round usually suffices.
         slope: Lipschitz constant of every rate in r between seams. None
             bounds every rate by the envelope alone.
-        anchor_rates: (n,) rates at radius 0, which anchor each row's local
-            bounds from the start; None leaves rows unanchored until they
-            draw again.
+        anchor_rates: callback mapping rows (k,) -> their rates at radius 0
+            (k,), which anchor the rows' local bounds; each rate it returns
+            is checked against its row's envelope. None leaves rows
+            unanchored until they draw again.
         evaluate_anchors: evaluate the rates at radius 0 through
             ``rate_rows``, one per row, before drawing, and anchor on them
             (instead of ``anchor_rates``).
-        seam_radii: (n,) radii below which the rates are ``slope``-Lipschitz
-            (+inf when they never jump); a row at or past its seam has no
-            local bound. Required with ``slope``.
+        seam_radii: callback mapping rows (k,) -> radii (k,) below which
+            their rates are ``slope``-Lipschitz (+inf when they never jump);
+            a row at or past its seam has no local bound. Required with
+            ``slope``.
 
     Returns:
         (n,) array of arrival radii.
@@ -254,86 +265,105 @@ def thin_first_arrivals(
         block = int(min(max(math.ceil(1.3 * mean_ceiling / floor) + 2, 4), 4096))
     gen = as_generator(rng)
     eta = np.empty(n)
-    offsets = np.zeros(n)
-    active = np.arange(n)
     # every bound is widened by the checks' rounding tolerance, so a rate
     # that passes its checks always agrees with its proposal's sure decision
     tol = _RTOL * ceiling + 1e-12
-    if slope is not None:
-        seams = np.asarray(seam_radii, dtype=float)
-        if seams.shape != (n,):
-            raise ValueError(f"seam_radii must have shape ({n},)")
-        # Row i's local bounds at a radius r below seams[i] are
-        # [lows[i] + tol - slope * r, highs[i] - tol + slope * r], where
-        # lows[i] = q_a + slope * r_a - tol and highs[i] = q_a - slope * r_a
-        # + tol from its anchor (r_a, q_a); they are -inf and +inf while the
-        # row has no anchor.
-        lows = np.full(n, -np.inf)
-        highs = np.full(n, np.inf)
-        if evaluate_anchors:
-            anchor_rates = _evaluate(rate_rows, np.zeros((n, 1)), np.arange(n))[:, 0]
-        if anchor_rates is not None:
-            anchor_q = np.asarray(anchor_rates, dtype=float)
-            if anchor_q.shape != (n,):
-                raise ValueError(f"anchor_rates must have shape ({n},)")
-            _check_rate_envelope(anchor_q, floor, ceiling)
-            anchored = seams > 0.0
-            lows = np.where(anchored, anchor_q - tol, -np.inf)
-            highs = np.where(anchored, anchor_q + tol, np.inf)
+    if evaluate_anchors:
+        start_rates = _evaluate(rate_rows, np.zeros((n, 1)), np.arange(n))[:, 0]
+        _check_rate_envelope(start_rates, floor, ceiling)
+        anchor_rates = start_rates.__getitem__
+    active = np.arange(n)
+    offsets = None  # radii the active rows have reached; zero in the first round
+    # The local bounds of active row i at a radius r below seams[i] are
+    # [lows[i] + tol - slope * r, highs[i] - tol + slope * r], where lows[i]
+    # = q_a + slope * r_a - tol and highs[i] = q_a - slope * r_a + tol from
+    # its anchor (r_a, q_a); they are -inf and +inf while the row has none.
+    # A row gets its seam and anchor when it first has an open proposal, as
+    # every row that draws again has had.
+    seams = lows = highs = None
     proposed = 0
-    while active.size:
+    while True:
         k = active.size
         top = ceiling[active, None] if per_row else ceiling
         gaps = gen.exponential(1.0 / top, size=(k, block))
-        radii = offsets[active, None] + np.cumsum(gaps, axis=1)
         levels = gen.random((k, block)) * top
-        # a level below the floor is accepted whatever the rate
+        proposed += k * block
+        if proposed > max_proposals:
+            raise RateBoundError("thinning exceeded its proposal budget")
+        # a level below the floor is accepted whatever the rate: a row whose
+        # first level is arrives at its first radius, and only the other
+        # rows have open proposals
         accept = levels < floor - (tol[active, None] if per_row else tol)
+        eta[active] = gaps[:, 0] if offsets is None else offsets + gaps[:, 0]
+        opened = (~accept[:, 0]).nonzero()[0]
+        if not opened.size:
+            return eta
+        if opened.size < k:
+            gaps, levels, accept = gaps[opened], levels[opened], accept[opened]
+        rows = active[opened]
+        radii = np.cumsum(gaps, axis=1)
+        if offsets is not None:
+            radii += offsets[opened, None]
         if slope is not None:
-            tilt = slope * radii
-            bounded = radii < seams[active, None]
-            accept |= (levels + tilt < lows[active, None]) & bounded
-            undecided = (levels - tilt < highs[active, None]) | ~bounded
+            if seams is None:
+                seams = _per_row(seam_radii, rows, "seam_radii")
+                if anchor_rates is None:
+                    lows, highs = np.full(rows.size, -np.inf), np.full(rows.size, np.inf)
+                else:
+                    q = _per_row(anchor_rates, rows, "anchor_rates")
+                    if not evaluate_anchors:
+                        _check_rate_envelope(q, floor, ceiling[rows] if per_row else ceiling)
+                    margin = tol[rows] if per_row else tol
+                    lows, highs = q - margin, q + margin
+            else:
+                seams, lows, highs = seams[opened], lows[opened], highs[opened]
+            # slope * r below the row's seam; past it the rate may jump
+            reach = np.where(radii < seams[:, None], slope * radii, np.inf)
+            accept |= levels + reach < lows[:, None]
         # evaluate the undecided proposals before each row's first sure
         # acceptance: nothing after it can change the row's arrival
         need = ~np.logical_or.accumulate(accept, axis=1)
         if slope is not None:
-            need &= undecided
-        rows, cols = np.nonzero(need)
-        if rows.size:
-            at = rows[:, None], cols[:, None]
-            owners, r_eval = active[rows], radii[at]
-            rates = _evaluate(rate_rows, r_eval, owners)
-            _check_rate_envelope(rates, floor, ceiling[owners, None] if per_row else ceiling)
+            need &= levels - reach < highs[:, None]
+        at = need.ravel().nonzero()[0]
+        if at.size:
+            local = at // block
+            owners = rows[local]
+            rates = _evaluate(rate_rows, np.take(radii, at)[:, None], owners)[:, 0]
+            _check_rate_envelope(rates, floor, ceiling[owners] if per_row else ceiling)
             if slope is not None:
-                tilt = slope * r_eval
-                excess, lifted = rates - tilt, rates + tilt
-                bounded = r_eval < seams[owners, None]
-                _check_local_bounds(
-                    rates,
-                    ((lifted < lows[owners, None]) | (excess >= highs[owners, None])) & bounded,
-                )
-                # each row re-anchors at its last evaluated proposal
-                # (np.nonzero lists them row by row, in radius order)
-                last = np.append(np.flatnonzero(rows[1:] != rows[:-1]), rows.size - 1)
-                ends, keep = owners[last], bounded[last, 0]
-                margin = tol[ends] if per_row else tol
-                lows[ends] = np.where(keep, lifted[last, 0] - margin, -np.inf)
-                highs[ends] = np.where(keep, excess[last, 0] + margin, np.inf)
-            accept[at] = levels[at] < rates
-        hit = accept.any(axis=1)
+                reach_at = np.take(reach, at)
+                excess, lifted = rates - reach_at, rates + reach_at
+                _check_local_bounds(rates, (lifted < lows[local]) | (excess >= highs[local]))
+            np.put(accept, at, np.take(levels, at) < rates)
+        arange = np.arange(rows.size)
         first = accept.argmax(axis=1)
-        proposed += k * block
-        if proposed > max_proposals:
-            raise RateBoundError("thinning exceeded its proposal budget")
-        if hit.all():
-            eta[active] = radii[np.arange(k), first]
-            break
-        eta[active[hit]] = radii[hit, first[hit]]
-        miss = ~hit
-        offsets[active[miss]] = radii[miss, -1]
-        active = active[miss]
-    return eta
+        eta[rows] = radii[arange, first]
+        missed = (~accept[arange, first]).nonzero()[0]
+        if not missed.size:
+            return eta
+        if slope is not None:
+            if at.size:
+                # a row that draws again re-anchors at its last evaluated
+                # proposal (the evaluated ones are listed row by row, in
+                # radius order), or loses its bounds if that lies past its seam
+                last = np.searchsorted(local, missed, side="right") - 1
+                evaluated = local[last] == missed
+                last, redo = last[evaluated], missed[evaluated]
+                keep = reach_at[last] < np.inf
+                margin = tol[rows[redo]] if per_row else tol
+                lows[redo] = np.where(keep, lifted[last] - margin, -np.inf)
+                highs[redo] = np.where(keep, excess[last] + margin, np.inf)
+            seams, lows, highs = seams[missed], lows[missed], highs[missed]
+        offsets = radii[missed, -1]
+        active = rows[missed]
+
+
+def _per_row(values_of, rows: np.ndarray, name: str) -> np.ndarray:
+    values = np.asarray(values_of(rows), dtype=float)
+    if values.shape != rows.shape:
+        raise ValueError(f"{name} returned shape {values.shape}, expected {rows.shape}")
+    return values
 
 
 def _evaluate(rate_rows, radii: np.ndarray, rows: np.ndarray) -> np.ndarray:

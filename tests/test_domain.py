@@ -62,10 +62,9 @@ def test_distance_symmetric_and_bounded():
     assert np.allclose(dom.distance(a, a), 0.0)
 
 
-def test_diameter_and_volume():
+def test_diameter():
     dom = TorusDomain(2, (6.0, 8.0))
     assert abs(dom.diameter() - 5.0) < 1e-15  # 0.5 * sqrt(36 + 64)
-    assert abs(dom.volume() - 48.0) < 1e-15
 
 
 def test_contains():

@@ -241,10 +241,18 @@ def test_ensembles_refuse_a_false_lipschitz_constant():
     obj.metadata = ObjectiveMetadata(lipschitz_c1=1.0)
     with pytest.raises(RateBoundError, match="local bound"):
         run_poisson_sgd_ensemble(obj, PoissonSgdConfig(beta=0.05, epsilon=0.5, n_steps=20), 64)
-    # a coupled BPS ceiling stays below two floors, too low for local bounds
+    # a sampler whose ceiling is 209 floors high, and a coupled one whose
+    # ceiling is 1.86 floors high: local bounds apply at any spread. So
+    # narrow a spread leaves few proposals undecided, and only an evaluated
+    # one can expose the constant; 2000 chains for 100 steps meet one on
+    # every one of 200 seeds tried
     cfg = BpsConfig(beta=0.05, lambda_ref=0.5, c_b=0.0, epsilon=0.5, n_steps=20)
     with pytest.raises(RateBoundError, match="local bound"):
         run_bps_ensemble(obj, cfg, 64)
+    coupled = BpsConfig.coupled(beta=0.003, epsilon=1.0, grad_norm_bound=obj.grad_norm_bound, n_steps=100)
+    assert coupled.ceiling(obj.grad_norm_bound) < 2 * coupled.floor
+    with pytest.raises(RateBoundError, match="local bound"):
+        run_bps_ensemble(obj, coupled, 2000)
 
 
 def _counting_copy(obj, metadata):
@@ -282,16 +290,21 @@ def test_local_bounds_keep_every_draw():
     # the same chains with and without a Lipschitz constant: local bounds
     # only skip rate evaluations, so every draw must agree exactly, and they
     # must skip some; per-chain mini-batch chains anchor each step with one
-    # gradient of its own batches, and do so below 8 floors too
+    # gradient of its own batches. Every spread thins against local bounds,
+    # down to a ceiling barely above the floor (epsilon = 1e-3, 1.006 floors)
     bowl = quadratic_bowl([[2.0, 3.0], [6.0, 5.0], [4.0, 8.0], [7.0, 1.0]], side_lengths=10.0)
     _, stacked = _stacked_linreg(range(8))
     minibatch = PoissonSgdConfig(beta=50.0, epsilon=0.005, n_steps=60, batch_size=8)
     assert np.min(minibatch.ceiling(stacked.grad_norm_bound)) < 8 * minibatch.floor
+    dw1 = double_well_1d()
+    narrow = PoissonSgdConfig(beta=0.003, epsilon=1e-3, n_steps=20)
+    assert narrow.ceiling(dw1.grad_norm_bound) < 1.01 * narrow.floor
     cases = [
         (bowl, PoissonSgdConfig(beta=2.0, epsilon=0.5, n_steps=20), 500),
         (double_well_2d(), PoissonSgdConfig(beta=0.1, epsilon=0.5, n_steps=20), 500),
         (bowl, PoissonSgdConfig(beta=2.0, epsilon=0.5, n_steps=20, batch_size=2), 500),
         (stacked, minibatch, 8),
+        (dw1, narrow, 500),
     ]
     for obj, cfg, n_chains in cases:
         local = _counting_copy(obj, obj.metadata)
@@ -305,14 +318,18 @@ def test_local_bounds_keep_every_draw():
         assert runs[0].mean_eta == runs[1].mean_eta
         assert runs[0].records[0].rows == runs[1].records[0].rows
         assert local.points < blind.points
-    obj = double_well_1d()
-    blind = copy.copy(obj)
-    blind.metadata = ObjectiveMetadata()
-    cfg = BpsConfig(beta=0.05, lambda_ref=0.5, c_b=0.0, epsilon=0.5, n_steps=20)
-    local = run_bps_ensemble(obj, cfg, 500, rng=RngStream(12))
-    ceiling = run_bps_ensemble(blind, cfg, 500, rng=RngStream(12))
-    assert np.array_equal(local.thetas, ceiling.thetas)
-    assert np.array_equal(local.velocities, ceiling.velocities)
+    # samplers 209 floors high and, coupled to the optimizer, 1.86 floors high
+    coupled = BpsConfig.coupled(beta=0.003, epsilon=1.0, grad_norm_bound=dw1.grad_norm_bound, n_steps=20)
+    assert coupled.ceiling(dw1.grad_norm_bound) < 2 * coupled.floor
+    for cfg in (BpsConfig(beta=0.05, lambda_ref=0.5, c_b=0.0, epsilon=0.5, n_steps=20), coupled):
+        local = _counting_copy(dw1, dw1.metadata)
+        blind = _counting_copy(dw1, ObjectiveMetadata())
+        runs = [run_bps_ensemble(twin, cfg, 500, rng=RngStream(12), record_chains=[1]) for twin in (local, blind)]
+        assert runs[0].thetas.tobytes() == runs[1].thetas.tobytes()
+        assert runs[0].velocities.tobytes() == runs[1].velocities.tobytes()
+        assert runs[0].extras == runs[1].extras
+        assert runs[0].records[0].rows == runs[1].records[0].rows
+        assert local.points < blind.points
 
 
 def test_recorded_chains_of_stacked_datasets_are_scored_on_their_own():

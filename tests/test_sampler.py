@@ -74,6 +74,12 @@ def _along(rates):
     return lambda t: rates(np.asarray(t, dtype=float)[:, None], np.zeros(np.size(t), dtype=int))[:, 0]
 
 
+def _every_row(value):
+    """A per-row callback of ``thin_first_arrivals`` (``anchor_rates``,
+    ``seam_radii``) that gives every row ``value``."""
+    return lambda rows: np.full(rows.shape, float(value))
+
+
 def _draw_one_by_one(rates, floor, ceiling, rng, count):
     """``count`` one-ray draws in a row from one stream."""
     return np.concatenate([thin_first_arrivals(rates, 1, floor, ceiling, rng) for _ in range(count)])
@@ -290,8 +296,8 @@ def test_local_bound_matches_oracle(field, anchored):
         RngStream(41),
         block=block,
         slope=slope,
-        anchor_rates=np.full(n, float(fn(np.zeros(1))[0])) if anchored else None,
-        seam_radii=np.full(n, seam),
+        anchor_rates=_every_row(fn(np.zeros(1))[0]) if anchored else None,
+        seam_radii=_every_row(seam),
     )
     plain_rows, plain_calls = _counted(_radial(fn))
     plain = thin_first_arrivals(plain_rows, n, floor, ceiling, RngStream(41), block=block)
@@ -315,12 +321,12 @@ def test_evaluated_anchors_match_given_anchors_plus_one_rate_per_row(field):
         seen.append(radii.copy())
         return fn(radii)
 
-    local = dict(slope=slope, seam_radii=np.full(n, seam))
+    local = dict(slope=slope, seam_radii=_every_row(seam))
     evaluated = thin_first_arrivals(
         rate_rows, n, floor, ceiling, RngStream(43), evaluate_anchors=True, **local
     )
     given_rows, given = _counted(_radial(fn))
-    anchors = np.full(n, float(fn(np.zeros(1))[0]))
+    anchors = _every_row(fn(np.zeros(1))[0])
     draws = thin_first_arrivals(given_rows, n, floor, ceiling, RngStream(43), anchor_rates=anchors, **local)
     assert evaluated.tobytes() == draws.tobytes()
     assert seen[0].shape == (n, 1) and not seen[0].any()
@@ -340,8 +346,8 @@ def test_local_bound_skips_most_evaluations_under_a_loose_ceiling():
         14.0,
         RngStream(48),
         slope=0.6,
-        anchor_rates=np.full(n, 0.8),
-        seam_radii=np.full(n, np.inf),
+        anchor_rates=_every_row(0.8),
+        seam_radii=_every_row(np.inf),
     )
     plain_rows, plain_calls = _counted(_radial(fn))
     assert np.array_equal(draws, thin_first_arrivals(plain_rows, n, 0.8, 14.0, RngStream(48)))
@@ -392,8 +398,8 @@ def test_local_bound_across_a_seam_matches_oracle(case):
         ceiling,
         RngStream(43),
         slope=beta * objective.metadata.lipschitz_c1,
-        anchor_rates=np.full(n, _along(rates)(np.zeros(1))[0]),
-        seam_radii=np.full(n, seam[0]),
+        anchor_rates=_every_row(_along(rates)(np.zeros(1))[0]),
+        seam_radii=_every_row(seam[0]),
     )
     plain_rows, plain_calls = _counted(rates)
     plain = thin_first_arrivals(plain_rows, n, floor, ceiling, RngStream(43))
@@ -417,8 +423,8 @@ def test_ignoring_an_upward_seam_raises():
             ceiling,
             RngStream(44),
             slope=0.4,
-            anchor_rates=np.full(n, _along(rates)(np.zeros(1))[0]),
-            seam_radii=np.full(n, np.inf),
+            anchor_rates=_every_row(_along(rates)(np.zeros(1))[0]),
+            seam_radii=_every_row(np.inf),
         )
 
 
@@ -434,15 +440,16 @@ def test_too_small_slope_raises():
             1.4,
             RngStream(45),
             slope=0.01,
-            anchor_rates=np.full(n, 0.8),
-            seam_radii=np.full(n, np.inf),
+            anchor_rates=_every_row(0.8),
+            seam_radii=_every_row(np.inf),
         )
 
 
 def test_local_bound_argument_validation():
     rate_rows = lambda radii, rows: np.ones_like(radii)  # noqa: E731
+    ones = _every_row(1.0)
     with pytest.raises(ValueError):
-        thin_first_arrivals(rate_rows, 3, 1.0, 2.0, RngStream(0), anchor_rates=np.ones(3))
+        thin_first_arrivals(rate_rows, 3, 1.0, 2.0, RngStream(0), anchor_rates=ones)
     with pytest.raises(ValueError):
         thin_first_arrivals(rate_rows, 3, 1.0, 2.0, RngStream(0), evaluate_anchors=True)
     with pytest.raises(ValueError):
@@ -453,31 +460,29 @@ def test_local_bound_argument_validation():
             2.0,
             RngStream(0),
             slope=1.0,
-            anchor_rates=np.ones(3),
+            anchor_rates=ones,
             evaluate_anchors=True,
-            seam_radii=np.ones(3),
+            seam_radii=ones,
         )
     with pytest.raises(ValueError):
         thin_first_arrivals(rate_rows, 3, 1.0, 2.0, RngStream(0), slope=1.0)
     with pytest.raises(ValueError):
+        thin_first_arrivals(rate_rows, 3, 1.0, 2.0, RngStream(0), slope=-1.0, seam_radii=ones)
+    # the per-row callbacks are asked only for rows whose first level lies
+    # above the floor: at half the ceiling, some of 64 rows always have one
+    n = 64
+    with pytest.raises(ValueError, match="seam_radii"):
         thin_first_arrivals(
-            rate_rows, 3, 1.0, 2.0, RngStream(0), slope=-1.0, seam_radii=np.ones(3)
+            rate_rows, n, 1.0, 2.0, RngStream(0), slope=1.0, seam_radii=lambda rows: np.ones(rows.size + 1)
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="anchor_rates"):
         thin_first_arrivals(
-            rate_rows, 3, 1.0, 2.0, RngStream(0), slope=1.0, seam_radii=np.ones(2)
+            rate_rows, n, 1.0, 2.0, RngStream(0), slope=1.0, anchor_rates=lambda rows: np.ones(1), seam_radii=ones
         )
     # an anchor rate outside the envelope is refused like any evaluated rate
     with pytest.raises(RateBoundError):
         thin_first_arrivals(
-            rate_rows,
-            3,
-            1.0,
-            2.0,
-            RngStream(0),
-            slope=1.0,
-            anchor_rates=np.full(3, 5.0),
-            seam_radii=np.ones(3),
+            rate_rows, n, 1.0, 2.0, RngStream(0), slope=1.0, anchor_rates=_every_row(5.0), seam_radii=ones
         )
     with pytest.raises(RateBoundError):
         thin_first_arrivals(
@@ -488,7 +493,7 @@ def test_local_bound_argument_validation():
             RngStream(0),
             slope=1.0,
             evaluate_anchors=True,
-            seam_radii=np.ones(3),
+            seam_radii=ones,
         )
 
 
@@ -504,8 +509,8 @@ def test_rows_at_their_seam_thin_at_the_ceiling():
         1.5,
         RngStream(46),
         slope=1.1,
-        anchor_rates=np.full(n, float(fn(np.zeros(1))[0])),
-        seam_radii=np.zeros(n),
+        anchor_rates=_every_row(fn(np.zeros(1))[0]),
+        seam_radii=_every_row(0.0),
     )
     assert np.array_equal(plain, at_seam)
 
@@ -558,8 +563,8 @@ def test_a_slope_only_the_lower_bound_exposes_raises():
             1.5,
             RngStream(49),
             slope=0.01,
-            anchor_rates=np.full(n, 1.4),
-            seam_radii=np.full(n, np.inf),
+            anchor_rates=_every_row(1.4),
+            seam_radii=_every_row(np.inf),
         )
 
 
@@ -576,8 +581,8 @@ def test_no_proposal_at_or_after_a_sure_acceptance_is_evaluated():
         RngStream(50),
         block=block,
         slope=slope,
-        anchor_rates=np.full(n, 1.4),
-        seam_radii=np.full(n, np.inf),
+        anchor_rates=_every_row(1.4),
+        seam_radii=_every_row(np.inf),
     )
     radii, levels = _first_round(50, n, block, ceiling)
     assert np.all(np.isin(draws, radii))
@@ -644,7 +649,7 @@ def test_a_rate_above_its_own_rows_ceiling_raises():
 def test_equal_per_row_ceilings_draw_the_shared_ceilings_bytes(block):
     fn = LOCAL_FIELDS[2][1]  # bump: 0.9 to 2.7, slope up to 3.7
     n = 4000
-    local = dict(slope=3.7, anchor_rates=np.full(n, float(fn(np.zeros(1))[0])), seam_radii=np.full(n, 2.5))
+    local = dict(slope=3.7, anchor_rates=_every_row(fn(np.zeros(1))[0]), seam_radii=_every_row(2.5))
     for bounds in ({}, local):
         shared_rows, shared_calls = _counted(_radial(fn))
         shared = thin_first_arrivals(shared_rows, n, 0.9, 2.7, RngStream(62), block=block, **bounds)

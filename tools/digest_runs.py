@@ -8,10 +8,11 @@ the oracle, and a full-batch generalization run, whose per-chain datasets
 thin against local bounds), and per direct
 call of the chain runners: both ensembles with snapshots and records,
 beta = 0 ensembles of both kinds, a mini-batch ensemble, a sampler whose
-ceiling is many floors high, a beta = 0.1 optimizer ensemble (its anchored
-lower bounds accept proposals unevaluated), two optimizer ensembles whose
-anchored rows reach their seams (one full batch, one on per-chain
-mini-batches), five single-chain records (one of them a
+ceiling is 209 floors high, a beta = 0.1 optimizer ensemble (its anchored
+lower bounds accept proposals unevaluated), two optimizer ensembles and a
+coupled sampler (ceiling 1.86 floors high) whose anchored rows reach their
+seams (the optimizers on a full batch and on per-chain mini-batches),
+five single-chain records (one of them a
 per-chain mini-batch least-squares run) and ``coupled_compare``. A change
 that must keep every draw and every byte prints the same lines as its
 parent, so one ``diff`` compares them:
@@ -148,6 +149,18 @@ def runner_lines() -> list[str]:
             PoissonSgdConfig(beta=0.5, epsilon=1.0, n_steps=30, batch_size=2, seed=19),
             32,
             record_chains=[5],
+        ),
+        # the coupled sampler from the same faces: about 30 anchored rows
+        # arrive past their seams
+        "bps_ensemble_coupled_at_seams": run_bps_ensemble(
+            dw1,
+            BpsConfig.coupled(
+                beta=0.003, epsilon=1.0, grad_norm_bound=dw1.grad_norm_bound, n_steps=40, seed=20, record_stride=5
+            ),
+            64,
+            initial_points=np.r_[np.linspace(0.01, 0.1, 32), np.linspace(15.9, 15.99, 32)][:, None],
+            initial_velocities=np.repeat([-1.0, 1.0], 32)[:, None],
+            record_chains=[3],
         ),
     }
     lines = [f"runner {name} {_ensemble_digest(res)}" for name, res in results.items()]
