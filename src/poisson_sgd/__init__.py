@@ -63,8 +63,6 @@ from .stationary import (
     EnvelopeError,
     GridDensity,
     StationaryDensity,
-    cos_plus_bracket,
-    estimate_cos_plus_moment,
     gamma_ratio_fences,
     grid_mean_risk,
     sphere_cos_abs_mean,
@@ -122,8 +120,6 @@ __all__ = [
     "sphere_cos_abs_mean",
     "sphere_cos_plus_mean",
     "gamma_ratio_fences",
-    "cos_plus_bracket",
-    "estimate_cos_plus_moment",
     # distances and bounds
     "wasserstein1_1d",
     "sliced_wasserstein1",

@@ -11,6 +11,13 @@ where E[(cos phi)_+] is the mean positive part of one coordinate of a uniform
 unit vector, i.e. half the mean absolute value ``sphere_cos_abs_mean(d)``.
 The floor ``beta*M + 1/epsilon`` keeps u strictly positive everywhere, which
 both the rejection sampler and the total-variation comparisons rely on.
+
+Grids and oracle blocks are evaluated a bounded chunk of points at a time
+(``_CHUNK_ELEMENTS`` over the larger of the objective's sample count and its
+dimension), so no temporary grows with the grid or with the dataset. Every
+value still lands in one full-size array, and the sums, maxima and means
+reduce that array, so the results match a single whole-grid evaluation
+bit for bit.
 """
 
 from __future__ import annotations
@@ -28,8 +35,6 @@ __all__ = [
     "sphere_cos_abs_mean",
     "sphere_cos_plus_mean",
     "gamma_ratio_fences",
-    "cos_plus_bracket",
-    "estimate_cos_plus_moment",
     "GridDensity",
     "EnvelopeError",
     "StationaryDensity",
@@ -38,6 +43,41 @@ __all__ = [
 ]
 
 DEFAULT_RESOLUTIONS = {1: 4096, 2: 256, 3: 64}
+
+# Array elements per evaluation chunk. A chunk holds this many over
+# max(n_samples, dim) points, so linreg's (points, n_samples) residuals stay
+# as small as the points themselves: about 0.5 MB per temporary.
+_CHUNK_ELEMENTS = 1 << 16
+
+
+def _chunk_points(objective: Objective) -> int:
+    return max(1, _CHUNK_ELEMENTS // max(objective.n_samples, objective.domain.dim))
+
+
+def _evaluate_in_chunks(fn, points_at, n: int, chunk: int) -> np.ndarray:
+    """(n,) values of ``fn`` on ``points_at(start, stop)``, ``chunk`` points a call."""
+    out = np.empty(n)
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        out[start:stop] = fn(points_at(start, stop))
+    return out
+
+
+def _midpoint_grid(objective: Objective, fn, resolution: int):
+    """(edges, values, cell) of ``fn`` at the midpoints of a grid of
+    ``resolution`` cells per side over the box; values has the grid's shape."""
+    domain = objective.domain
+    edges = [np.linspace(0.0, s, resolution + 1) for s in domain.sides]
+    mids = [0.5 * (e[:-1] + e[1:]) for e in edges]
+    shape = (resolution,) * domain.dim
+
+    def points_at(start, stop):
+        index = np.unravel_index(np.arange(start, stop), shape)
+        return np.stack([m[i] for m, i in zip(mids, index)], axis=-1)
+
+    values = _evaluate_in_chunks(fn, points_at, resolution**domain.dim, _chunk_points(objective))
+    cell = float(np.prod(domain.sides / resolution))
+    return edges, values.reshape(shape), cell
 
 
 def sphere_cos_abs_mean(d: int) -> float:
@@ -64,35 +104,6 @@ def gamma_ratio_fences(d: int) -> tuple[float, float]:
     lower = 1.0 / math.sqrt(d / 2.0)
     upper = math.inf if d == 1 else 1.0 / math.sqrt((d - 1) / 2.0)
     return lower, upper
-
-
-def cos_plus_bracket(d: int) -> tuple[float, float]:
-    """Bracket [1/sqrt(2 pi d), 1/sqrt(2 pi (d-1))] containing E[(v_1)_+], d >= 2."""
-    if int(d) != d or d < 2:
-        raise ValueError(f"d must be an integer >= 2, got {d!r}")
-    return 1.0 / math.sqrt(2.0 * math.pi * d), 1.0 / math.sqrt(2.0 * math.pi * (d - 1))
-
-
-def estimate_cos_plus_moment(d: int, n: int, rng) -> tuple[float, float]:
-    """Monte-Carlo (mean, standard error) of (v_1)_+ over n uniform sphere draws.
-
-    Draws standard normals and normalizes; only the first coordinate's
-    positive part is kept, so memory stays O(n) even for large d.
-    """
-    gen = as_generator(rng)
-    n = int(n)
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    first = np.empty(n)
-    block = 1_000_000 // max(1, d)
-    done = 0
-    while done < n:
-        take = min(block, n - done)
-        x = gen.standard_normal((take, int(d)))
-        first[done : done + take] = x[:, 0] / np.linalg.norm(x, axis=1)
-        done += take
-    plus = np.maximum(first, 0.0)
-    return float(plus.mean()), float(plus.std(ddof=1) / math.sqrt(n))
 
 
 class EnvelopeError(RuntimeError):
@@ -206,37 +217,32 @@ class StationaryDensity:
         grad_norm = np.linalg.norm(self.objective.grad(theta), axis=-1)
         return (self.floor + self.grad_coefficient * grad_norm) * np.exp(-self.beta * loss)
 
-    def _midpoint_grid(self, resolution: int):
-        domain = self.objective.domain
-        edges = [np.linspace(0.0, s, resolution + 1) for s in domain.sides]
-        mids = [0.5 * (e[:-1] + e[1:]) for e in edges]
-        points = np.stack(np.meshgrid(*mids, indexing="ij"), axis=-1)
-        values = self.unnormalized(points)
-        cell = float(np.prod(domain.sides / resolution))
-        return edges, values, cell
+    def _resolution(self, resolution: int | None) -> int:
+        dim = self.objective.domain.dim
+        if dim > 3:
+            raise ValueError("grid normalization supports dim <= 3")
+        if resolution is None:
+            resolution = DEFAULT_RESOLUTIONS[dim]
+        if resolution < 64:
+            raise ValueError("resolution must be >= 64 per dimension")
+        return int(resolution)
 
     def grid(self, resolution: int | None = None) -> GridDensity:
         """Midpoint-rule normalization; raises if 2x refinement moves Z > 1e-4.
 
-        The convergence check reuses the cache, so asking for the same
-        resolution twice costs one evaluation.
+        Each resolution is cached with the max of u over it and its 2x check
+        (the oracle's envelope), so asking for the same resolution twice
+        costs one evaluation.
         """
-        domain = self.objective.domain
-        if domain.dim > 3:
-            raise ValueError("grid normalization supports dim <= 3")
-        if resolution is None:
-            resolution = DEFAULT_RESOLUTIONS[domain.dim]
-        if resolution < 64:
-            raise ValueError("resolution must be >= 64 per dimension")
-        key = int(resolution)
+        key = self._resolution(resolution)
         if key in self._grid_cache:
-            return self._grid_cache[key]
+            return self._grid_cache[key][0]
 
-        edges, values, cell = self._midpoint_grid(key)
+        edges, values, cell = _midpoint_grid(self.objective, self.unnormalized, key)
         if not np.all(values > 0.0):
             raise ValueError("density must be strictly positive on the grid")
         z = float(values.sum() * cell)
-        _, fine_values, fine_cell = self._midpoint_grid(2 * key)
+        _, fine_values, fine_cell = _midpoint_grid(self.objective, self.unnormalized, 2 * key)
         z_fine = float(fine_values.sum() * fine_cell)
         if abs(z_fine - z) > 1e-4 * z:
             raise RuntimeError(
@@ -246,48 +252,49 @@ class StationaryDensity:
         masses = values * cell / z
         masses /= masses.sum()  # absorb the last-ulp rounding so masses sum to 1
         grid = GridDensity(edges=edges, masses=masses, z=z)
-        self._grid_cache[key] = grid
-        self._max_on_grid = float(max(values.max(), fine_values.max()))
+        self._grid_cache[key] = (grid, float(max(values.max(), fine_values.max())))
         return grid
 
     def sample(self, n: int, rng, resolution: int | None = None) -> np.ndarray:
         """n exact draws by rejection from the uniform proposal.
 
-        The envelope is 1.1x the density's max over the normalization grid;
-        any proposal where u exceeds the envelope aborts the run rather than
-        silently biasing the output.
+        The envelope is 1.1x the density's max over the normalization grid
+        at ``resolution``; any proposal where u exceeds the envelope aborts
+        the run rather than silently biasing the output. Each block draws
+        all its proposals, then all its levels, whatever the chunking.
         """
         gen = as_generator(rng)
         n = int(n)
         if n < 1:
             raise ValueError("n must be >= 1")
-        self.grid(resolution)  # ensures _max_on_grid
-        envelope = 1.1 * self._max_on_grid
+        key = self._resolution(resolution)
+        self.grid(key)
+        envelope = 1.1 * self._grid_cache[key][1]
         domain = self.objective.domain
+        chunk = _chunk_points(self.objective)
         out = np.empty((n, domain.dim))
         got = 0
         block = max(4096, 2 * n)
         while got < n:
             props = domain.sample_uniform(gen, block)
-            u = self.unnormalized(props)
+            u = _evaluate_in_chunks(self.unnormalized, lambda a, b: props[a:b], block, chunk)
             if np.any(u > envelope):
                 raise EnvelopeError(
                     f"density value {float(u.max()):.6g} exceeds envelope "
                     f"{envelope:.6g}; grid max was not a supremum"
                 )
-            keep = props[gen.random(block) * envelope < u]
-            take = min(keep.shape[0], n - got)
-            out[got : got + take] = keep[:take]
-            got += take
+            for start in range(0, block, chunk):
+                stop = min(start + chunk, block)
+                keep = props[start:stop][gen.random(stop - start) * envelope < u[start:stop]]
+                take = min(keep.shape[0], n - got)
+                out[got : got + take] = keep[:take]
+                got += take
         return out
 
 
 def grid_mean_risk(objective: Objective, resolution: int = 512) -> float:
     """Mean empirical risk under the uniform law, by midpoint quadrature."""
-    domain = objective.domain
-    if domain.dim > 3:
+    if objective.domain.dim > 3:
         raise ValueError("grid quadrature supports dim <= 3")
-    edges = [np.linspace(0.0, s, resolution + 1) for s in domain.sides]
-    mids = [0.5 * (e[:-1] + e[1:]) for e in edges]
-    points = np.stack(np.meshgrid(*mids, indexing="ij"), axis=-1)
-    return float(np.mean(objective.empirical_risk(points)))
+    _, risks, _ = _midpoint_grid(objective, objective.empirical_risk, resolution)
+    return float(np.mean(risks))

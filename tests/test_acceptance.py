@@ -37,13 +37,8 @@ from poisson_sgd.sampler import (
     thin_first_arrivals,
     uniform_sphere,
 )
-from poisson_sgd.stationary import (
-    StationaryDensity,
-    cos_plus_bracket,
-    estimate_cos_plus_moment,
-    sphere_cos_abs_mean,
-    sphere_cos_plus_mean,
-)
+from poisson_sgd.stationary import StationaryDensity, sphere_cos_abs_mean, sphere_cos_plus_mean
+from sphere_moments import cos_plus_bracket, estimate_cos_plus_moment
 
 
 def _strict_local_maxima(masses: np.ndarray) -> list[int]:

@@ -1,24 +1,25 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from poisson_sgd.metrics import histogram_tv
-from poisson_sgd.objectives import double_well_1d, quadratic_bowl
+from poisson_sgd import stationary
+from poisson_sgd.objectives import double_well_1d, double_well_2d, linreg_synthetic, quadratic_bowl
 from poisson_sgd.sampler import RngStream
 from poisson_sgd.stationary import (
     DEFAULT_RESOLUTIONS,
     EnvelopeError,
     GridDensity,
     StationaryDensity,
-    cos_plus_bracket,
-    estimate_cos_plus_moment,
     gamma_ratio_fences,
     grid_mean_risk,
     sphere_cos_abs_mean,
     sphere_cos_plus_mean,
 )
+from sphere_moments import cos_plus_bracket, estimate_cos_plus_moment
 
 
 def test_sphere_moment_closed_forms():
@@ -188,8 +189,9 @@ def test_rejection_sampler_agrees_with_grid():
 def test_rejection_sampler_envelope_guard():
     obj = double_well_1d()
     sd = StationaryDensity(obj, beta=0.004, epsilon=0.5)
-    sd.grid(4096)
-    sd._max_on_grid = 0.5 * sd._max_on_grid  # simulate a grid max that missed the sup
+    grid = sd.grid(4096)
+    peak = sd._grid_cache[4096][1]
+    sd._grid_cache[4096] = (grid, 0.5 * peak)  # simulate a grid max that missed the sup
     with pytest.raises(EnvelopeError):
         sd.sample(1000, RngStream(3))
 
@@ -198,3 +200,97 @@ def test_grid_mean_risk_closed_form():
     # bowl risk |theta - 5|^2 / 2 on a length-10 circle: uniform mean is 25/6
     obj = quadratic_bowl([[5.0]], side_lengths=10.0)
     assert grid_mean_risk(obj, resolution=2048) == pytest.approx(25.0 / 6.0, rel=1e-6)
+
+
+def test_oracle_envelope_comes_from_the_requested_grid():
+    # the envelope of sample(resolution=r) is the max over grid r, whichever
+    # grid the density normalized last
+    fresh = StationaryDensity(double_well_1d(), beta=0.003, epsilon=0.5)
+    want = fresh.sample(20_000, RngStream(7), resolution=4096)
+    used = StationaryDensity(double_well_1d(), beta=0.003, epsilon=0.5)
+    used.grid(4096)
+    used.grid(256)
+    assert np.array_equal(used.sample(20_000, RngStream(7), resolution=4096), want)
+
+
+def _traced_peak_mib(call) -> float:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+# a whole-grid evaluation peaked at 263, 263 and 194 MiB on these
+MEMORY_CASES = {
+    "linreg grid": (lambda: StationaryDensity(linreg_synthetic(64, 2, 0.5, 0), 1.0, 0.05).grid(), 16),
+    "linreg mean risk": (lambda: grid_mean_risk(linreg_synthetic(64, 2, 0.5, 0), 512), 16),
+    "3-d bowl grid": (lambda: StationaryDensity(quadratic_bowl([[5, 5, 5]], side_lengths=10), 0.03, 1.0).grid(), 32),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEMORY_CASES))
+def test_quadrature_memory_is_bounded(case):
+    call, bound_mib = MEMORY_CASES[case]
+    assert _traced_peak_mib(call) < bound_mib
+
+
+def _one_call_grid(fn, objective, resolution):
+    domain = objective.domain
+    mids = [0.5 * (e[:-1] + e[1:]) for e in (np.linspace(0.0, s, resolution + 1) for s in domain.sides)]
+    points = np.stack(np.meshgrid(*mids, indexing="ij"), axis=-1)
+    return fn(points), float(np.prod(domain.sides / resolution))
+
+
+def _one_call_sample(density, n, gen, envelope):
+    domain = density.objective.domain
+    out = np.empty((n, domain.dim))
+    got = 0
+    block = max(4096, 2 * n)
+    while got < n:
+        props = domain.sample_uniform(gen, block)
+        keep = props[gen.random(block) * envelope < density.unnormalized(props)]
+        take = min(keep.shape[0], n - got)
+        out[got : got + take] = keep[:take]
+        got += take
+    return out
+
+
+CHUNKED_CASES = {
+    "double_well_2d": (double_well_2d, 0.003, 0.5),
+    "linreg": (lambda: linreg_synthetic(64, 2, 0.5, 0), 1.0, 0.05),
+    "3-d bowl": (lambda: quadratic_bowl([[5, 5, 5]], side_lengths=10), 0.03, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHUNKED_CASES))
+def test_chunked_evaluation_matches_one_call(case, monkeypatch):
+    make, beta, eps = CHUNKED_CASES[case]
+    objective = make()
+    resolution = stationary.DEFAULT_RESOLUTIONS[objective.domain.dim]
+    # a prime element budget: chunks end mid-row on every grid, and mid-block
+    # in the oracle's 6000-proposal block
+    monkeypatch.setattr(stationary, "_CHUNK_ELEMENTS", 9973)
+    chunk = stationary._chunk_points(objective)
+    assert chunk % 128 and chunk % resolution and chunk < 6000 and 6000 % chunk
+    sd = StationaryDensity(objective, beta, eps)
+
+    values, cell = _one_call_grid(sd.unnormalized, objective, resolution)
+    fine, _ = _one_call_grid(sd.unnormalized, objective, 2 * resolution)
+    z = float(values.sum() * cell)
+    masses = values * cell / z
+    masses /= masses.sum()
+    grid = sd.grid()
+    assert grid.z == z
+    assert np.array_equal(grid.masses, masses)
+    peak = float(max(values.max(), fine.max()))
+    assert sd._grid_cache[resolution][1] == peak
+
+    risks, _ = _one_call_grid(objective.empirical_risk, objective, 128)
+    assert grid_mean_risk(objective, 128) == float(np.mean(risks))
+
+    want_gen, got_gen = RngStream(5).generator, RngStream(5).generator
+    want = _one_call_sample(sd, 3000, want_gen, 1.1 * peak)
+    assert np.array_equal(sd.sample(3000, got_gen), want)
+    assert got_gen.bit_generator.state == want_gen.bit_generator.state

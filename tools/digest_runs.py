@@ -13,7 +13,10 @@ lower bounds accept proposals unevaluated), two optimizer ensembles and a
 coupled sampler (ceiling 1.86 floors high) whose anchored rows reach their
 seams (the optimizers on a full batch and on per-chain mini-batches),
 five single-chain records (one of them a
-per-chain mini-batch least-squares run) and ``coupled_compare``. A change
+per-chain mini-batch least-squares run) and ``coupled_compare``, and of
+the closed form on ``double_well_2d`` and on ``linreg_synthetic(64, 2, 0.5,
+0)``: its ``grid()`` masses and ``z``, ``sample()`` draws and
+``grid_mean_risk``. A change
 that must keep every draw and every byte prints the same lines as its
 parent, so one ``diff`` compares them:
 
@@ -52,6 +55,7 @@ from poisson_sgd.optimizer import (  # noqa: E402
 )
 from poisson_sgd.records import canonical_json  # noqa: E402
 from poisson_sgd.sampler import RngStream  # noqa: E402
+from poisson_sgd.stationary import StationaryDensity, grid_mean_risk  # noqa: E402
 from test_harness import TINY_CONFIGS  # noqa: E402
 
 
@@ -198,8 +202,29 @@ def runner_lines() -> list[str]:
     return lines
 
 
+def density_lines() -> list[str]:
+    cases = {
+        "double_well_2d": (double_well_2d(), 0.003, 0.5),
+        "linreg_synthetic_64": (linreg_synthetic(64, 2, 0.5, 0), 1.0, 0.05),
+    }
+    lines = []
+    for name, (objective, beta, epsilon) in cases.items():
+        density = StationaryDensity(objective, beta, epsilon)
+        grid = density.grid()
+        h = hashlib.sha256(f"{grid.z!r}".encode())
+        h.update(grid.masses.tobytes())
+        draws = density.sample(5000, RngStream(21))
+        risk = grid_mean_risk(objective)
+        lines += [
+            f"density {name} grid {h.hexdigest()}",
+            f"density {name} sample {hashlib.sha256(draws.tobytes()).hexdigest()}",
+            f"density {name} grid_mean_risk {hashlib.sha256(repr(risk).encode()).hexdigest()}",
+        ]
+    return lines
+
+
 def main() -> int:
-    for line in artifact_lines() + runner_lines():
+    for line in artifact_lines() + runner_lines() + density_lines():
         print(line, flush=True)
     return 0
 
