@@ -37,7 +37,6 @@ from .objectives import (
     ObjectiveMetadata,
     QuadraticBowlObjective,
     build_objective,
-    check_gradient,
     double_well_1d,
     double_well_2d,
     linreg_synthetic,
@@ -93,7 +92,6 @@ __all__ = [
     "QuadraticBowlObjective",
     "LinearRegressionObjective",
     "GradientBoundError",
-    "check_gradient",
     "build_objective",
     "BUILTIN_OBJECTIVES",
     "double_well_1d",

@@ -150,7 +150,7 @@ class BpsConfig:
             return {"event": event, "p_reflect": float(p_reflect[i])}
 
         turned = np.where(do_reflect[:, None], reflect(vels, grads), fresh)
-        return turned, tags, {"refresh": int(n - do_reflect.sum())}
+        return turned, tags, {"refresh": n - np.count_nonzero(do_reflect)}
 
 
 def run_bps(objective: Objective, cfg: BpsConfig) -> RunRecord:

@@ -48,6 +48,7 @@ class TorusDomain:
         arr.setflags(write=False)
         object.__setattr__(self, "_sides", arr)
         object.__setattr__(self, "_least_side", float(arr.min()))
+        object.__setattr__(self, "_seam_margin", SEAM_MARGIN * arr)
 
     @property
     def sides(self) -> np.ndarray:
@@ -96,11 +97,6 @@ class TorusDomain:
         """Largest geodesic distance: half the norm of the side-length vector."""
         return 0.5 * float(np.linalg.norm(self.sides))
 
-    def contains(self, points) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        self._check_points(points, "point")
-        return np.all((points >= 0.0) & (points < self.sides), axis=-1)
-
     def sample_uniform(self, generator: np.random.Generator, size: int | None = None) -> np.ndarray:
         """Uniform point(s) in the box; shape (dim,) or (size, dim)."""
         shape = (self.dim,) if size is None else (int(size), self.dim)
@@ -145,8 +141,10 @@ class TorusDomain:
         r*direction`` can cross; it is <= 0 where a start lies on that
         margin and +inf for a zero direction.
         """
-        sides = self.sides
-        room = np.where(directions > 0.0, sides - starts, starts) - SEAM_MARGIN * sides
+        room = np.where(directions > 0.0, self.sides - starts, starts)
+        room -= self._seam_margin
         speed = np.abs(directions)
-        radii = np.divide(room, speed, out=np.full(room.shape, np.inf), where=speed > 0.0)
-        return radii.min(axis=-1)
+        # laid out (dim, N), so that the minimum over the axes runs along rows
+        radii = np.full(room.shape[::-1], np.inf)
+        np.divide(room.T, speed.T, out=radii, where=speed.T > 0.0)
+        return radii.min(axis=0)

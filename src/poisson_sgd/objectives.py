@@ -28,7 +28,6 @@ __all__ = [
     "AnalyticObjective",
     "QuadraticBowlObjective",
     "LinearRegressionObjective",
-    "check_gradient",
     "double_well_1d",
     "double_well_2d",
     "quadratic_bowl",
@@ -50,9 +49,11 @@ class ObjectiveMetadata:
     A per-sample constant also bounds every mini-batch mean. When set,
     chains with ``beta > 0`` skip the rate evaluations that two-sided local
     bounds built from it make unnecessary, without changing a draw; an
-    evaluated rate outside such bounds raises ``RateBoundError``, so a
-    false constant aborts a run once an evaluation exposes it. None bounds
-    the rates by their envelope alone.
+    evaluated rate outside such bounds raises ``RateBoundError``, as does a
+    step whose gradient (or, with per-chain mini-batches, rate) moved
+    further than the constant allows, so a false constant aborts a run once
+    an evaluation or a step exposes it. None bounds the rates by their
+    envelope alone.
     """
 
     lipschitz_c1: float | None = None
@@ -146,7 +147,7 @@ class Objective:
         else:
 
             def field(points, rows=None):
-                sel = idx if rows is None else idx[rows]
+                sel = idx if rows is None else idx.take(rows, axis=0)
                 return self._mean_grad(np.asarray(points, dtype=float), sel)
 
         return field
@@ -159,7 +160,7 @@ class Objective:
         if isinstance(bound, np.ndarray):
             bound = bound.reshape(bound.shape + (1,) * (sq.ndim - 1))
         within = sq <= (bound * (1.0 + 1e-9)) ** 2  # False for NaN too
-        if not within.all():
+        if np.count_nonzero(within) < within.size:
             i = np.unravel_index(int(within.argmin()), within.shape)
             raise GradientBoundError(
                 f"{self.name}: gradient norm {math.sqrt(sq[i]):.6g} exceeds declared "
@@ -267,7 +268,7 @@ class QuadraticBowlObjective(Objective):
             return self.centers[indices].mean(axis=0), float(
                 self._sqnorms[indices].mean()
             )
-        return self.centers[indices].mean(axis=1), self._sqnorms[indices].mean(axis=1)
+        return self.centers.take(indices, axis=0).mean(axis=1), self._sqnorms.take(indices).mean(axis=1)
 
     @staticmethod
     def _align(stat: np.ndarray, theta: np.ndarray, trailing: int) -> np.ndarray:
@@ -357,8 +358,8 @@ class LinearRegressionObjective(Objective):
             yb = self._y if indices is None else self._y[indices]
             return np.einsum("...d,md->...m", theta, Xb) - yb, Xb
         # per-chain batches: theta (N, ..., d) row-paired with indices (N, m)
-        Xb = self._X[indices]
-        yb = self._y[indices]
+        Xb = self._X.take(indices, axis=0)
+        yb = self._y.take(indices)
         lead = theta.shape[0]
         if theta.ndim < 2 or lead != indices.shape[0]:
             raise ValueError("theta leading axis must match per-chain batch rows")
@@ -378,30 +379,6 @@ class LinearRegressionObjective(Objective):
         flat = resid.reshape(lead, -1, resid.shape[-1])
         grad = np.matmul(flat, Xb) / Xb.shape[1]
         return grad.reshape(theta.shape)
-
-
-def check_gradient(obj: Objective, theta, step: float | None = None) -> float:
-    """Central-difference check of the full-batch gradient.
-
-    Returns the maximum per-coordinate error, measured relative to the
-    analytic component where it exceeds 1 in magnitude and absolutely below
-    (so critical points do not inflate the ratio).
-    """
-    theta = np.asarray(theta, dtype=float).ravel()
-    if theta.shape != (obj.domain.dim,):
-        raise ValueError("theta must be a single point")
-    analytic = np.asarray(obj.grad(theta), dtype=float)
-    worst = 0.0
-    for i in range(theta.size):
-        h = step if step is not None else 1e-6 * max(1.0, abs(theta[i]))
-        probe = np.zeros_like(theta)
-        probe[i] = h
-        fd = (obj.empirical_risk(theta + probe) - obj.empirical_risk(theta - probe)) / (
-            2.0 * h
-        )
-        err = abs(fd - analytic[i]) / max(1.0, abs(analytic[i]))
-        worst = max(worst, float(err))
-    return worst
 
 
 # ----------------------------------------------------------------------
@@ -444,7 +421,7 @@ def double_well_1d(side: float = 16.0, offset: float = 6.0) -> AnalyticObjective
         return _quartic(theta[..., 0] - off)
 
     def grad(theta):
-        return _quartic_grad(theta[..., 0] - off)[..., None]
+        return _quartic_grad(theta - off)
 
     bound = _quartic_grad_sup(lo, hi)
     curv = max(abs(12.0 * x * x - 24.0 * x - 72.0) for x in (lo, hi))
@@ -485,10 +462,20 @@ def double_well_2d(
         y = theta[..., 1] - off[1]
         return _quartic(x) + y * y
 
+    # Horner's rule on both shifted coordinates at once, ((a u + b) u + c) u
+    # with (a, b, c) = (4, -12, -72) for x and (0, 0, 2) for y: every
+    # product and sum is the one _quartic_grad(x) and 2 y compute, so the
+    # gradient is theirs bit for bit, in six array operations
+    a, b, c = np.array([4.0, 0.0]), np.array([-12.0, 0.0]), np.array([-72.0, 2.0])
+
     def grad(theta):
-        x = theta[..., 0] - off[0]
-        y = theta[..., 1] - off[1]
-        return np.stack([_quartic_grad(x), 2.0 * y], axis=-1)
+        u = theta - off
+        out = u * a
+        out += b
+        out *= u
+        out += c
+        out *= u
+        return out
 
     y_max = max(off[1], domain.side_lengths[1] - off[1])
     bound = math.hypot(_quartic_grad_sup(lo, hi), 2.0 * y_max)

@@ -28,9 +28,14 @@ constant they narrow to two-sided local bounds up to each ray's first seam,
 anchored at each ray's rate at r = 0, at any spread of ceiling over floor.
 With a full batch that anchor is free from the second step on, the rate
 the reflection gradient already gives; per-chain mini-batches pay one
-evaluated rate of each step's own batches for it. Thinning asks for the
-seams and the free anchors only of rays whose first proposal the envelope
-leaves open, so where the envelope decides every ray they cost nothing.
+evaluated rate of each step's own batches for it. The loop computes every
+ray's seam and free anchor in one pass each per step, and thinning reads
+them only for rays whose first proposal the envelope leaves open. The
+same gradients audit the declared constant on every step: a chain whose
+step stayed in the box must not have moved its gradient (full batch) or
+its rate (per-chain batches) by more than the constant allows over the
+step length, or the run aborts with ``RateBoundError``, since sure
+decisions against a false constant are never evaluated.
 Each step's rays thin against ``sampler.ray_rate_rows`` over the step's
 gradient field, the same rate the event-law oracles test; it is evaluated
 as a flat list of the undecided proposals. An objective
@@ -49,7 +54,7 @@ import numpy as np
 
 from .objectives import Objective, _SampledBatches
 from .records import RunRecord
-from .sampler import RngStream, ray_rate_rows, thin_first_arrivals, uniform_sphere
+from .sampler import _RTOL, RateBoundError, RngStream, _row_norms, ray_rate_rows, thin_first_arrivals, uniform_sphere
 
 __all__ = [
     "reflect",
@@ -60,6 +65,8 @@ __all__ = [
 ]
 
 ZERO_GRAD_TOL = 1e-12
+# array elements the Lipschitz audit holds per check (see _run_chains)
+_AUDIT_ELEMENTS = 1 << 12
 
 
 def reflect(v, g, tol: float = ZERO_GRAD_TOL):
@@ -75,7 +82,7 @@ def reflect(v, g, tol: float = ZERO_GRAD_TOL):
     sq = np.einsum("...d,...d->...", g, g)
     coef = 2.0 * np.einsum("...d,...d->...", g, v)
     defined = sq > tol * tol
-    if defined.all():
+    if np.count_nonzero(defined) == defined.size:
         coef = coef / sq
     else:
         coef = np.where(defined, coef / np.where(defined, sq, 1.0), 0.0)
@@ -175,15 +182,42 @@ def _sample_batches(gen: np.random.Generator, n_chains: int, n: int, m: int) -> 
     return np.sort(idx, axis=1).view(_SampledBatches)
 
 
-def _seam_radii(domain, starts: np.ndarray, headings: np.ndarray):
-    """``seam_radii`` of ``thin_first_arrivals`` for the rays ``starts[i] + r * headings[i]``."""
-    return lambda rows: domain.first_seam_radii(starts[rows], headings[rows])
+def _start_rates(grads: np.ndarray, headings: np.ndarray, beta: float, floor: float) -> np.ndarray:
+    """The rates ``beta * <g, v>_+ + floor`` at r = 0 of rays heading along
+    ``headings`` from the points where ``grads`` were taken."""
+    rates = np.maximum(np.einsum("kd,kd->k", grads, headings), 0.0)
+    rates *= beta
+    rates += floor
+    return rates
 
 
-def _start_rates(grads: np.ndarray, headings: np.ndarray, beta: float, floor: float):
-    """``anchor_rates`` of ``thin_first_arrivals``: the rates at r = 0 of rays
-    heading along ``headings`` from the points where ``grads`` were taken."""
-    return lambda rows: floor + beta * np.maximum(np.einsum("kd,kd->k", grads[rows], headings[rows]), 0.0)
+def _audit_lipschitz(changes, lengths, ends, lipschitz: float, tol, domain) -> None:
+    """Raise ``RateBoundError`` if a chain moved its rate or its gradient by
+    more than ``lipschitz * eta + tol`` over a step that stayed in the box.
+
+    Each list holds one entry per audited step: the (N,) changes of the
+    rates or the (N, d) changes of the gradients, the (N,) step lengths and
+    the (N, d) unwrapped endpoints. A step stayed in the box, which is
+    convex, when its endpoint lies in it.
+    """
+    change = np.array(changes)
+    moved = change * change if change.ndim == 2 else np.einsum("bnd,bnd->bn", change, change)
+    limits = np.array(lengths) * lipschitz
+    limits += tol
+    limits *= limits
+    over = (moved > limits).ravel()
+    if np.count_nonzero(over):
+        over = over.nonzero()[0]
+        points = np.array(ends).reshape(-1, domain.dim)[over]
+        inside = ((points >= 0.0) & (points < domain.sides)).all(axis=-1)
+        if np.count_nonzero(inside):
+            i = over[inside.argmax()]
+            what = "rate" if change.ndim == 2 else "gradient"
+            raise RateBoundError(
+                f"the {what} moved {math.sqrt(moved.flat[i]):.6g} over one step, beyond its local bound "
+                f"{math.sqrt(limits.flat[i]):.6g} from lipschitz_c1: the declared Lipschitz constant is false; "
+                "aborting instead of drawing biased times"
+            )
 
 
 def _run_chains(
@@ -264,13 +298,30 @@ def _run_chains(
     # give the next step's, because both use the same field at the same
     # point. Per-chain batches change the field every step, so thinning
     # evaluates each step's anchors, one rate of its own batches per ray.
-    # Thinning asks for seams and free anchors only for the rows whose first
+    # Thinning reads seams and free anchors only for the rows whose first
     # proposal the envelope leaves open.
     lipschitz = objective.metadata.lipschitz_c1
     local_bounds = lipschitz is not None and cfg.beta > 0.0
     slope = cfg.beta * lipschitz if local_bounds else None
     anchors = None
     fld = objective.grad_field(None)
+    # The audit of the declared constant, on every step that thins against
+    # it, from gradients the step has anyway. With a full batch, from step 2
+    # on, the previous reflection gradient g(theta) and this step's
+    # g(theta') share a field, so ||g(theta') - g(theta)|| <= L * eta. With
+    # per-chain batches, the evaluated anchor q(0) and the rate q(eta) from
+    # the reflection gradient share the step's batch, so |q(eta) - q(0)| <=
+    # beta * L * eta. Both limits carry the checks' rounding tolerance, and
+    # bind only chains whose step stayed in the box. The steps are checked
+    # a block at a time (and at the last step), which keeps the audit's
+    # cost per step to a subtraction and its memory to _AUDIT_ELEMENTS.
+    if local_bounds:
+        rates_at_zero = np.empty(N) if per_chain_batches else None
+        audit_limit = slope if per_chain_batches else lipschitz
+        audit_tol = _RTOL * (ceiling if per_chain_batches else objective.grad_norm_bound) + 1e-12
+        audit_every = max(1, _AUDIT_ELEMENTS // (N * d))
+        changes, lengths, ends = [], [], []
+    grads = None
 
     wanted = {int(s) for s in snapshot_steps}
     snapshots: dict[int, np.ndarray] = {}
@@ -306,21 +357,34 @@ def _run_chains(
                 slope=slope,
                 anchor_rates=anchors,
                 evaluate_anchors=local_bounds and per_chain_batches,
-                seam_radii=_seam_radii(domain, thetas, vels) if local_bounds else None,
+                seam_radii=domain.first_seam_radii(thetas, vels).__getitem__ if local_bounds else None,
+                anchors_out=rates_at_zero if local_bounds else None,
             )
         eta_sum += float(etas.sum())
 
-        thetas = domain.wrap(thetas + etas[:, None] * vels)
-        grads = np.asarray(fld(thetas, rows=None), dtype=float)
+        raw = thetas + etas[:, None] * vels
+        thetas = domain.wrap(raw)
+        previous, grads = grads, np.asarray(fld(thetas, rows=None), dtype=float)
         objective.check_grad_norms(grads)
+        if local_bounds and (per_chain_batches or previous is not None):
+            if per_chain_batches:
+                change = _start_rates(grads, vels, cfg.beta, floor) - rates_at_zero
+            else:
+                change = grads - previous
+            changes.append(change)
+            lengths.append(etas)
+            ends.append(raw)
+            if len(lengths) == audit_every or k == cfg.n_steps:
+                _audit_lipschitz(changes, lengths, ends, audit_limit, audit_tol, domain)
+                changes, lengths, ends = [], [], []
         vels, tags, counts = cfg.turn(vels, grads, rng)
         for name, count in counts.items():
             totals[name] += count
-        norms = np.linalg.norm(vels, axis=1)
-        max_dev = max(max_dev, float(np.max(np.abs(norms - 1.0))))
+        norms = _row_norms(vels)
+        max_dev = max(max_dev, float(np.abs(norms - 1.0).max()))
         vels = vels / norms[:, None]
         if local_bounds and not per_chain_batches:
-            anchors = _start_rates(grads, vels, cfg.beta, floor)
+            anchors = _start_rates(grads, vels, cfg.beta, floor).__getitem__
         if k in wanted:
             snapshots[k] = thetas.copy()
         if records and (k % cfg.record_stride == 0 or k == cfg.n_steps):

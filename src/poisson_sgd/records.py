@@ -87,9 +87,6 @@ class RunRecord:
             raise ValueError("record is empty")
         return np.asarray([row[name] for row in self._rows])
 
-    def final_theta(self) -> np.ndarray:
-        return np.asarray(self._rows[-1]["theta"], dtype=float)
-
     # ------------------------------------------------------------------
     # serialization
     # ------------------------------------------------------------------
@@ -106,18 +103,6 @@ class RunRecord:
         lines = [canonical_json(self.header())]
         lines.extend(canonical_json(row) for row in self._rows)
         Path(path).write_text("\n".join(lines) + "\n")
-
-    @classmethod
-    def from_ndjson(cls, path) -> "RunRecord":
-        lines = Path(path).read_text().splitlines()
-        if not lines:
-            raise ValueError(f"{path}: empty record file")
-        head = json.loads(lines[0])
-        if head.get("schema") != _SCHEMA:
-            raise ValueError(f"{path}: unknown schema {head.get('schema')!r}")
-        rec = cls(kind=head["kind"], config=head["config"], stride=head["stride"])
-        rec._rows = [json.loads(line) for line in lines[1:] if line]
-        return rec
 
     def to_csv(self, path) -> None:
         """Flat export for plotting: k, theta_*, v_*, then any scalar extras."""

@@ -34,7 +34,20 @@ the step's own batches per ray. A ray whose first level lies below the
 floor arrives at its first proposal, so seams and free anchors are asked
 for only for the other rays. Every evaluated rate is checked against both
 local bounds, so a false ``L`` aborts the run (``RateBoundError``) once an
-evaluation exposes it, and against its own row's ceiling.
+evaluation exposes it, and against its own row's ceiling. The chain loop
+also audits ``L`` on every step against the gradients the step computes
+anyway (``optimizer._run_chains``), so a false ``L`` that only sure
+decisions met aborts too.
+
+A round costs a fixed number of array operations, whatever its number of
+rows, and small ensembles run several rounds per draw (a few rows miss
+every proposal of a round), so the round is written for few operations:
+only the first round gathers the rows it keeps, later rounds carry every
+row that drew again, a row's seam and bounds travel as one (3,) record,
+each check compares against limits computed once per call, and every
+evaluated proposal re-anchors its row, so that the rows that draw again
+need no search for their last evaluation. Rows of 2-d arrays are gathered
+with ``take``, several times cheaper than fancy indexing.
 """
 
 from __future__ import annotations
@@ -59,7 +72,8 @@ _RTOL = 1e-9
 
 
 class RateBoundError(RuntimeError):
-    """A ray rate escaped its declared [floor, ceiling] envelope."""
+    """A ray rate escaped a declared bound: its [floor, ceiling] envelope or
+    the local bounds of a Lipschitz constant."""
 
 
 @dataclass
@@ -107,33 +121,19 @@ def uniform_sphere(d: int, rng, size: int | None = None) -> np.ndarray:
     gen = as_generator(rng)
     n = 1 if size is None else int(size)
     out = gen.standard_normal((n, int(d)))
-    norms = np.linalg.norm(out, axis=1)
-    while np.any(norms < 1e-150):  # probability ~0, but keep the law exact
+    norms = _row_norms(out)
+    while np.count_nonzero(norms < 1e-150):  # probability ~0, but keep the law exact
         bad = norms < 1e-150
         out[bad] = gen.standard_normal((int(bad.sum()), int(d)))
-        norms = np.linalg.norm(out, axis=1)
+        norms = _row_norms(out)
     out /= norms[:, None]
     return out[0] if size is None else out
 
 
-def _check_rate_envelope(values: np.ndarray, floor: float, ceiling) -> None:
-    """Refuse rates outside ``[floor, ceiling]``; ``ceiling`` is a scalar or
-    broadcasts against ``values`` (a ceiling per row)."""
-    if values.size == 0:
-        return
-    within = values <= ceiling * (1.0 + _RTOL) + 1e-12  # False for NaN too
-    if not within.all():
-        i = np.unravel_index(int(within.argmin()), within.shape)
-        limit = np.broadcast_to(ceiling, values.shape)[i]
-        raise RateBoundError(
-            f"rate {values[i]:.6g} exceeds ceiling {limit:.6g}: the declared "
-            "gradient bound is false; aborting instead of drawing biased times"
-        )
-    vmin = float(values.min())
-    if vmin < floor * (1.0 - _RTOL) - 1e-12:
-        raise RateBoundError(
-            f"rate {vmin:.6g} fell below floor {floor:.6g}: rate construction bug"
-        )
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=1)`` of a real (n, d) array, bit for bit,
+    without its dispatch."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
 def ray_rate_rows(
@@ -157,11 +157,14 @@ def ray_rate_rows(
     """
 
     def rate_rows(radii: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        heading = headings[rows]
-        points = starts[rows, None, :] + radii[..., None] * heading[:, None, :]
-        grads = field(wrap(points), rows=rows)
-        proj = np.einsum("kbd,kd->kb", grads, heading)
-        return beta * np.maximum(proj, 0.0) + floor
+        heading = headings.take(rows, axis=0)
+        points = radii[..., None] * heading[:, None, :]
+        points += starts.take(rows, axis=0)[:, None, :]
+        rates = np.einsum("kbd,kd->kb", field(wrap(points), rows=rows), heading)
+        np.maximum(rates, 0.0, out=rates)
+        rates *= beta
+        rates += floor
+        return rates
 
     return rate_rows
 
@@ -179,6 +182,7 @@ def thin_first_arrivals(
     anchor_rates: Callable[[np.ndarray], np.ndarray] | None = None,
     evaluate_anchors: bool = False,
     seam_radii: Callable[[np.ndarray], np.ndarray] | None = None,
+    anchors_out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Vectorized exact first arrivals of inhomogeneous exponential laws.
 
@@ -208,11 +212,13 @@ def thin_first_arrivals(
     breaks. The evaluated proposals go to ``rate_rows`` as one flat list.
 
     The envelope alone decides every row whose first level lies below the
-    floor: it arrives at its first proposal. All further work of a round,
-    the local bounds included, covers only the other rows, so seams and
-    anchors are asked for only for rows with an open first proposal, once
-    each, and a round in which no row has one costs its draws and one
-    comparison.
+    floor: it arrives at its first proposal. All further work of the first
+    round, the local bounds included, covers only the other rows, so seams
+    and anchors are asked for only for rows with an open first proposal,
+    once each, and a first round in which no row has one costs its draws
+    and one comparison. Later rounds carry every row that draws again
+    through the same steps; a row whose first level there lies below the
+    floor is accepted at it surely, like any level below its lower bound.
 
     Args:
         rate_rows: callback mapping (radii (k, 1), rows (k,)) -> rates (k, 1),
@@ -239,11 +245,14 @@ def thin_first_arrivals(
             their rates are ``slope``-Lipschitz (+inf when they never jump);
             a row at or past its seam has no local bound. Required with
             ``slope``.
+        anchors_out: with ``evaluate_anchors``, an (n,) array that receives
+            the evaluated rates at radius 0.
 
     Returns:
         (n,) array of arrival radii.
     """
-    per_row = np.ndim(ceiling) > 0
+    # (np.ndim of a float costs microseconds, and this runs once per step)
+    per_row = not isinstance(ceiling, float) and np.ndim(ceiling) > 0
     lowest = highest = mean_ceiling = ceiling
     if per_row:
         ceiling = np.asarray(ceiling, dtype=float)
@@ -261,102 +270,154 @@ def thin_first_arrivals(
         raise ValueError("slope must be finite and >= 0, with seam_radii")
     if evaluate_anchors and anchor_rates is not None:
         raise ValueError("pass anchor_rates or evaluate_anchors, not both")
+    if anchors_out is not None and not evaluate_anchors:
+        raise ValueError("anchors_out needs evaluate_anchors")
     if block is None:
         block = int(min(max(math.ceil(1.3 * mean_ceiling / floor) + 2, 4), 4096))
     gen = as_generator(rng)
     eta = np.empty(n)
+    scale = 1.0 / ceiling
     # every bound is widened by the checks' rounding tolerance, so a rate
     # that passes its checks always agrees with its proposal's sure decision
     tol = _RTOL * ceiling + 1e-12
+    sure = floor - tol  # a level below it is accepted whatever the rate
+    # the limits of the envelope check, once per call
+    lower, upper = floor * (1.0 - _RTOL) - 1e-12, ceiling * (1.0 + _RTOL) + 1e-12
     if evaluate_anchors:
         start_rates = _evaluate(rate_rows, np.zeros((n, 1)), np.arange(n))[:, 0]
-        _check_rate_envelope(start_rates, floor, ceiling)
+        _check_envelope(start_rates, floor, ceiling, lower, upper)
+        if anchors_out is not None:
+            anchors_out[...] = start_rates
         anchor_rates = start_rates.__getitem__
+    starts = np.arange(0, n * block, block)  # flat index of each row's first proposal
     active = np.arange(n)
-    offsets = None  # radii the active rows have reached; zero in the first round
-    # The local bounds of active row i at a radius r below seams[i] are
-    # [lows[i] + tol - slope * r, highs[i] - tol + slope * r], where lows[i]
-    # = q_a + slope * r_a - tol and highs[i] = q_a - slope * r_a + tol from
-    # its anchor (r_a, q_a); they are -inf and +inf while the row has none.
-    # A row gets its seam and anchor when it first has an open proposal, as
-    # every row that draws again has had.
-    seams = lows = highs = None
+    offsets = None  # radii the active rows have reached; None in the first round
+    # Row i of ``bounds`` holds active row i's seam radius, then ``low`` and
+    # ``high``: below the seam the row's rate at radius r lies in [low + tol -
+    # slope * r, high - tol + slope * r], where low = q_a + slope * r_a - tol
+    # and high = q_a - slope * r_a + tol from its anchor (r_a, q_a); they are
+    # -inf and +inf while the row has none. A row gets its seam and anchor
+    # when it first has an open proposal, as every row that draws again has.
+    bounds = None
     proposed = 0
     while True:
         k = active.size
-        top = ceiling[active, None] if per_row else ceiling
-        gaps = gen.exponential(1.0 / top, size=(k, block))
-        levels = gen.random((k, block)) * top
+        gaps = gen.exponential(scale[active, None] if per_row else scale, size=(k, block))
+        levels = gen.random((k, block))
+        levels *= ceiling[active, None] if per_row else ceiling
         proposed += k * block
         if proposed > max_proposals:
             raise RateBoundError("thinning exceeded its proposal budget")
-        # a level below the floor is accepted whatever the rate: a row whose
-        # first level is arrives at its first radius, and only the other
-        # rows have open proposals
-        accept = levels < floor - (tol[active, None] if per_row else tol)
-        eta[active] = gaps[:, 0] if offsets is None else offsets + gaps[:, 0]
-        opened = (~accept[:, 0]).nonzero()[0]
-        if not opened.size:
-            return eta
-        if opened.size < k:
-            gaps, levels, accept = gaps[opened], levels[opened], accept[opened]
-        rows = active[opened]
-        radii = np.cumsum(gaps, axis=1)
+        rows, floors = active, (sure[active, None] if per_row else sure)
+        if offsets is None:
+            # a level below the floor is accepted whatever the rate: a row
+            # whose first level is arrives at its first radius, and only the
+            # other rows go on, so only they are asked for seams and anchors
+            eta[:] = gaps[:, 0]
+            opened = (levels[:, 0] >= (floors[:, 0] if per_row else floors)).nonzero()[0]
+            if not opened.size:
+                return eta
+            if opened.size < k:
+                rows, gaps, levels = opened, gaps.take(opened, axis=0), levels.take(opened, axis=0)
+                if per_row:
+                    floors = floors.take(opened, axis=0)
+        radii = np.add.accumulate(gaps, axis=1)
         if offsets is not None:
-            radii += offsets[opened, None]
+            radii += offsets[:, None]
         if slope is not None:
-            if seams is None:
-                seams = _per_row(seam_radii, rows, "seam_radii")
+            if bounds is None:
+                bounds = np.empty((rows.size, 3))
+                bounds[:, 0] = _per_row(seam_radii, rows, "seam_radii")
                 if anchor_rates is None:
-                    lows, highs = np.full(rows.size, -np.inf), np.full(rows.size, np.inf)
+                    bounds[:, 1:] = (-np.inf, np.inf)
                 else:
                     q = _per_row(anchor_rates, rows, "anchor_rates")
                     if not evaluate_anchors:
-                        _check_rate_envelope(q, floor, ceiling[rows] if per_row else ceiling)
+                        _check_envelope(q, floor, ceiling, lower, upper, rows if per_row else None)
                     margin = tol[rows] if per_row else tol
-                    lows, highs = q - margin, q + margin
-            else:
-                seams, lows, highs = seams[opened], lows[opened], highs[opened]
-            # slope * r below the row's seam; past it the rate may jump
-            reach = np.where(radii < seams[:, None], slope * radii, np.inf)
-            accept |= levels + reach < lows[:, None]
+                    np.subtract(q, margin, out=bounds[:, 1])
+                    np.add(q, margin, out=bounds[:, 2])
+            reach = radii * slope
+            # radii grow along a row, so only a row whose last radius reaches
+            # its seam has proposals past it, where the rate may jump
+            beyond = np.count_nonzero(radii[:, -1] < bounds[:, 0]) < rows.size
+            if beyond:
+                reach = np.where(radii < bounds[:, :1], reach, np.inf)
+        accept = levels < floors
+        if slope is not None:
+            accept |= levels + reach < bounds[:, 1:2]
         # evaluate the undecided proposals before each row's first sure
         # acceptance: nothing after it can change the row's arrival
-        need = ~np.logical_or.accumulate(accept, axis=1)
-        if slope is not None:
-            need &= levels - reach < highs[:, None]
+        surely = np.logical_or.accumulate(accept, axis=1)
+        if slope is None:
+            need = ~surely
+        else:  # and below the upper bound; for booleans a > b is a and not b
+            need = np.greater(levels - reach < bounds[:, 2:], surely)
         at = need.ravel().nonzero()[0]
         if at.size:
             local = at // block
             owners = rows[local]
-            rates = _evaluate(rate_rows, np.take(radii, at)[:, None], owners)[:, 0]
-            _check_rate_envelope(rates, floor, ceiling[owners] if per_row else ceiling)
+            rates = _evaluate(rate_rows, radii.ravel()[at, None], owners)[:, 0]
+            _check_envelope(rates, floor, ceiling, lower, upper, owners if per_row else None)
             if slope is not None:
-                reach_at = np.take(reach, at)
-                excess, lifted = rates - reach_at, rates + reach_at
-                _check_local_bounds(rates, (lifted < lows[local]) | (excess >= highs[local]))
-            np.put(accept, at, np.take(levels, at) < rates)
-        arange = np.arange(rows.size)
-        first = accept.argmax(axis=1)
-        eta[rows] = radii[arange, first]
-        missed = (~accept[arange, first]).nonzero()[0]
+                # each rate carried back to radius 0 both ways, as ``bounds``
+                # holds its row's anchor
+                reach_at = reach.ravel()[at]
+                carried = np.empty((at.size, 2))
+                np.add(rates, reach_at, out=carried[:, 0])
+                np.subtract(rates, reach_at, out=carried[:, 1])
+                own = bounds.take(local, axis=0)
+                _check_local_bounds(rates, (carried[:, 0] < own[:, 1]) | (carried[:, 1] >= own[:, 2]))
+            accept.ravel()[at] = levels.ravel()[at] < rates
+        # each row arrives at its first accepted proposal, sure or evaluated;
+        # a row with none draws again, and the radius picked for it here is
+        # overwritten then
+        first = starts[: rows.size] + accept.argmax(axis=1)
+        eta[rows] = radii.ravel()[first]
+        missed = (~accept.ravel()[first]).nonzero()[0]
         if not missed.size:
             return eta
         if slope is not None:
             if at.size:
-                # a row that draws again re-anchors at its last evaluated
-                # proposal (the evaluated ones are listed row by row, in
-                # radius order), or loses its bounds if that lies past its seam
-                last = np.searchsorted(local, missed, side="right") - 1
-                evaluated = local[last] == missed
-                last, redo = last[evaluated], missed[evaluated]
-                keep = reach_at[last] < np.inf
-                margin = tol[rows[redo]] if per_row else tol
-                lows[redo] = np.where(keep, lifted[last] - margin, -np.inf)
-                highs[redo] = np.where(keep, excess[last] + margin, np.inf)
-            seams, lows, highs = seams[missed], lows[missed], highs[missed]
-        offsets = radii[missed, -1]
+                # every row with an evaluated proposal re-anchors at its last
+                # one (they are listed row by row, in radius order), or loses
+                # its bounds if that lies past its seam; the rows that draw
+                # again keep theirs
+                last = np.empty(at.size, dtype=bool)
+                last[-1] = True
+                np.not_equal(local[1:], local[:-1], out=last[:-1])
+                carried = carried.compress(last, axis=0)
+                margin = tol[owners[last]] if per_row else tol
+                carried[:, 0] -= margin
+                carried[:, 1] += margin
+                if beyond:
+                    carried[reach_at[last] == np.inf] = (-np.inf, np.inf)
+                bounds[local[last], 1:] = carried
+            bounds = bounds.take(missed, axis=0)
+        offsets = radii[:, -1][missed]
         active = rows[missed]
+
+
+def _check_envelope(values, floor, ceiling, lower, upper, rows=None) -> None:
+    """Refuse rates outside ``[floor, ceiling]``, that is below ``lower`` or
+    above ``upper``: the envelope widened by the checks' rounding tolerance,
+    which thinning computes once per call. ``ceiling`` and ``upper`` are
+    scalars or one per ray, and ``rows`` then picks the values' own."""
+    if rows is not None:
+        ceiling, upper = ceiling[rows], upper[rows]
+    if not values.size or (
+        values.min() >= lower and (values.max() <= upper if isinstance(upper, float) else (values <= upper).all())
+    ):
+        return
+    within = values <= upper  # False for NaN too
+    if not within.all():
+        i = np.unravel_index(int(within.argmin()), within.shape)
+        limit = np.broadcast_to(ceiling, values.shape)[i]
+        raise RateBoundError(
+            f"rate {values[i]:.6g} exceeds ceiling {limit:.6g}: the declared "
+            "gradient bound is false; aborting instead of drawing biased times"
+        )
+    raise RateBoundError(f"rate {float(values.min()):.6g} fell below floor {floor:.6g}: rate construction bug")
 
 
 def _per_row(values_of, rows: np.ndarray, name: str) -> np.ndarray:
@@ -374,7 +435,7 @@ def _evaluate(rate_rows, radii: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _check_local_bounds(rates: np.ndarray, outside: np.ndarray) -> None:
-    if outside.any():
+    if np.count_nonzero(outside):
         i = np.unravel_index(int(outside.argmax()), outside.shape)
         raise RateBoundError(
             f"rate {rates[i]:.6g} lies outside its local bounds: the declared Lipschitz "

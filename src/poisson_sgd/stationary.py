@@ -14,10 +14,12 @@ both the rejection sampler and the total-variation comparisons rely on.
 
 Grids and oracle blocks are evaluated a bounded chunk of points at a time
 (``_CHUNK_ELEMENTS`` over the larger of the objective's sample count and its
-dimension), so no temporary grows with the grid or with the dataset. Every
-value still lands in one full-size array, and the sums, maxima and means
-reduce that array, so the results match a single whole-grid evaluation
-bit for bit.
+dimension), so no temporary grows with the grid or with the dataset. The
+grid and the oracle's blocks still land in one full-size array, and the
+sums, maxima and means reduce that array, so they match a single whole-grid
+evaluation bit for bit. The 2x convergence check keeps no array at all: it
+reduces chunk by chunk, to the same maximum and to a sum of per-chunk sums,
+which only the convergence test reads.
 """
 
 from __future__ import annotations
@@ -63,9 +65,10 @@ def _evaluate_in_chunks(fn, points_at, n: int, chunk: int) -> np.ndarray:
     return out
 
 
-def _midpoint_grid(objective: Objective, fn, resolution: int):
-    """(edges, values, cell) of ``fn`` at the midpoints of a grid of
-    ``resolution`` cells per side over the box; values has the grid's shape."""
+def _midpoint_layout(objective: Objective, resolution: int):
+    """(edges, shape, points_at, cell) of the midpoint grid of ``resolution``
+    cells per side over the box: ``points_at(start, stop)`` gives the
+    midpoints of the cells with those flat (C-order) indices."""
     domain = objective.domain
     edges = [np.linspace(0.0, s, resolution + 1) for s in domain.sides]
     mids = [0.5 * (e[:-1] + e[1:]) for e in edges]
@@ -75,9 +78,29 @@ def _midpoint_grid(objective: Objective, fn, resolution: int):
         index = np.unravel_index(np.arange(start, stop), shape)
         return np.stack([m[i] for m, i in zip(mids, index)], axis=-1)
 
-    values = _evaluate_in_chunks(fn, points_at, resolution**domain.dim, _chunk_points(objective))
-    cell = float(np.prod(domain.sides / resolution))
+    return edges, shape, points_at, float(np.prod(domain.sides / resolution))
+
+
+def _midpoint_grid(objective: Objective, fn, resolution: int):
+    """(edges, values, cell) of ``fn`` at the midpoints of a grid of
+    ``resolution`` cells per side over the box; values has the grid's shape."""
+    edges, shape, points_at, cell = _midpoint_layout(objective, resolution)
+    values = _evaluate_in_chunks(fn, points_at, math.prod(shape), _chunk_points(objective))
     return edges, values.reshape(shape), cell
+
+
+def _midpoint_sum_max(objective: Objective, fn, resolution: int):
+    """(sum, max, cell) of ``fn`` over the midpoints of that grid, reduced a
+    chunk at a time, so no array of the grid's size exists. The max is the
+    whole grid's bit for bit; the sum adds up per-chunk sums."""
+    _, shape, points_at, cell = _midpoint_layout(objective, resolution)
+    n, chunk = math.prod(shape), _chunk_points(objective)
+    total, peak = 0.0, -math.inf
+    for start in range(0, n, chunk):
+        values = fn(points_at(start, min(start + chunk, n)))
+        total += float(values.sum())
+        peak = max(peak, float(values.max()))
+    return total, peak, cell
 
 
 def sphere_cos_abs_mean(d: int) -> float:
@@ -242,8 +265,8 @@ class StationaryDensity:
         if not np.all(values > 0.0):
             raise ValueError("density must be strictly positive on the grid")
         z = float(values.sum() * cell)
-        _, fine_values, fine_cell = _midpoint_grid(self.objective, self.unnormalized, 2 * key)
-        z_fine = float(fine_values.sum() * fine_cell)
+        fine_sum, fine_max, fine_cell = _midpoint_sum_max(self.objective, self.unnormalized, 2 * key)
+        z_fine = fine_sum * fine_cell
         if abs(z_fine - z) > 1e-4 * z:
             raise RuntimeError(
                 f"grid normalization not converged at resolution {key}: "
@@ -252,7 +275,7 @@ class StationaryDensity:
         masses = values * cell / z
         masses /= masses.sum()  # absorb the last-ulp rounding so masses sum to 1
         grid = GridDensity(edges=edges, masses=masses, z=z)
-        self._grid_cache[key] = (grid, float(max(values.max(), fine_values.max())))
+        self._grid_cache[key] = (grid, float(max(values.max(), fine_max)))
         return grid
 
     def sample(self, n: int, rng, resolution: int | None = None) -> np.ndarray:

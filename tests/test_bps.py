@@ -7,6 +7,8 @@ from poisson_sgd.bps import BpsConfig, coupled_compare, run_bps, run_bps_ensembl
 from poisson_sgd.objectives import double_well_1d, double_well_2d, quadratic_bowl
 from poisson_sgd.sampler import RngStream
 
+from package_helpers import final_theta
+
 
 def test_config_validation():
     cfg = BpsConfig(beta=0.5, lambda_ref=2.0, c_b=1.0, n_steps=10)
@@ -113,7 +115,7 @@ def test_zero_steps_records_initial_state():
     cfg = BpsConfig(beta=0.01, lambda_ref=1.0, c_b=0.0, n_steps=0, seed=3)
     rec = run_bps(obj, cfg)
     assert rec.column("k").tolist() == [0]
-    assert np.allclose(rec.final_theta(), obj.domain.sample_uniform(RngStream(3).generator))
+    assert np.allclose(final_theta(rec), obj.domain.sample_uniform(RngStream(3).generator))
 
 
 def test_ensemble_snapshots_and_replay():
@@ -178,7 +180,7 @@ def test_single_chain_is_chain_zero_of_one_chain_ensemble():
     cfg = BpsConfig(beta=0.002, lambda_ref=1.0, c_b=0.5, n_steps=60, seed=4, record_stride=9)
     rec = run_bps(obj, cfg)
     ens = run_bps_ensemble(obj, cfg, 1, rng=RngStream(cfg.seed))
-    assert np.array_equal(rec.final_theta(), ens.thetas[0])
+    assert np.array_equal(final_theta(rec), ens.thetas[0])
     assert np.array_equal(rec.rows[-1]["v"], ens.velocities[0])
     assert rec.column("k").tolist() == [9, 18, 27, 36, 45, 54, 60]
 

@@ -3,6 +3,8 @@ import pytest
 
 from poisson_sgd.domain import TorusDomain
 
+from package_helpers import box_contains
+
 
 def test_wrap_hand_examples():
     dom = TorusDomain(1, 10.0)
@@ -69,9 +71,9 @@ def test_diameter():
 
 def test_contains():
     dom = TorusDomain(2, 10.0)
-    assert dom.contains(np.array([0.0, 9.999]))
-    assert not dom.contains(np.array([10.0, 5.0]))
-    assert not dom.contains(np.array([-0.001, 5.0]))
+    assert box_contains(dom, np.array([0.0, 9.999]))
+    assert not box_contains(dom, np.array([10.0, 5.0]))
+    assert not box_contains(dom, np.array([-0.001, 5.0]))
 
 
 def test_sample_uniform_moments():
@@ -79,7 +81,7 @@ def test_sample_uniform_moments():
     gen = np.random.default_rng(7)
     pts = dom.sample_uniform(gen, 20000)
     assert pts.shape == (20000, 2)
-    assert np.all(dom.contains(pts))
+    assert np.all(box_contains(dom, pts))
     # mean of U(0, s) is s/2 with SE s/sqrt(12 n)
     se = np.array([4.0, 10.0]) / np.sqrt(12 * 20000)
     assert np.all(np.abs(pts.mean(axis=0) - [2.0, 5.0]) < 5 * se)
@@ -134,7 +136,7 @@ def test_first_seam_radii():
     assert np.allclose(radii, exact, rtol=0.0, atol=1e-8)
     # every point below the radius stays in the box when computed in floats
     for start, v, r in zip(starts, dirs, radii):
-        assert dom.contains(start + np.nextafter(r, 0.0) * v)
+        assert box_contains(dom, start + np.nextafter(r, 0.0) * v)
     # a start within the margin of the seam it faces has no room; a zero
     # direction never reaches a seam
     assert dom.first_seam_radii(np.array([[10.0 - 1e-12, 1.0]]), np.array([[1.0, 0.0]]))[0] <= 0.0

@@ -7,7 +7,6 @@ from poisson_sgd.objectives import (
     GradientBoundError,
     LinearRegressionObjective,
     build_objective,
-    check_gradient,
     double_well_1d,
     double_well_2d,
     linreg_synthetic,
@@ -15,6 +14,8 @@ from poisson_sgd.objectives import (
 )
 from poisson_sgd.optimizer import _sample_batches
 from poisson_sgd.sampler import RngStream
+
+from package_helpers import check_gradient
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -22,6 +23,8 @@ from poisson_sgd.optimizer import (
     run_poisson_sgd_ensemble,
 )
 from poisson_sgd.sampler import RateBoundError, RngStream, uniform_sphere
+
+from package_helpers import final_theta
 
 
 def test_reflect_hand_examples():
@@ -110,7 +113,7 @@ def test_run_keeps_stride_and_final(tmp_path):
     cfg0 = PoissonSgdConfig(beta=0.01, epsilon=0.5, n_steps=0, seed=3)
     rec0 = run_poisson_sgd(obj, cfg0)
     assert rec0.column("k").tolist() == [0]
-    assert np.allclose(rec0.final_theta(), obj.domain.sample_uniform(RngStream(3).generator))
+    assert np.allclose(final_theta(rec0), obj.domain.sample_uniform(RngStream(3).generator))
 
 
 def test_replay_byte_identical(tmp_path):
@@ -197,7 +200,7 @@ def test_single_chain_is_chain_zero_of_one_chain_ensemble(batch_size):
     cfg = PoissonSgdConfig(beta=0.05, epsilon=0.5, n_steps=40, seed=6, batch_size=batch_size)
     rec = run_poisson_sgd(obj, cfg)
     ens = run_poisson_sgd_ensemble(obj, cfg, 1, rng=RngStream(cfg.seed))
-    assert np.array_equal(rec.final_theta(), ens.thetas[0])
+    assert np.array_equal(final_theta(rec), ens.thetas[0])
     assert np.array_equal(rec.rows[-1]["v"], ens.velocities[0])
     assert rec.max_norm_deviation == ens.max_norm_deviation
 
@@ -213,7 +216,7 @@ def test_recorded_chains_match_the_ensemble_they_ride_in():
     assert [len(r) for r in traced.records] == [5, 5]
     for rec, i in zip(traced.records, (4, 1)):
         assert rec.column("k").tolist() == [7, 14, 21, 28, 30]
-        assert np.array_equal(rec.final_theta(), traced.thetas[i])
+        assert np.array_equal(final_theta(rec), traced.thetas[i])
     with pytest.raises(ValueError, match="record_chains"):
         run_poisson_sgd_ensemble(obj, cfg, 6, rng=RngStream(4), record_chains=[6])
 
@@ -253,6 +256,52 @@ def test_ensembles_refuse_a_false_lipschitz_constant():
     assert coupled.ceiling(obj.grad_norm_bound) < 2 * coupled.floor
     with pytest.raises(RateBoundError, match="local bound"):
         run_bps_ensemble(obj, coupled, 2000)
+    # 64 such chains for 20 steps make few evaluations, and on this seed
+    # none exposes the constant; the sure decisions made against the false
+    # bounds are caught by the per-step audit of the reflection gradients
+    short = dataclasses.replace(coupled, n_steps=20)
+    with pytest.raises(RateBoundError, match="gradient moved .* local bound"):
+        run_bps_ensemble(obj, short, 64, rng=RngStream(1))
+    # per-chain mini-batches: so small a slope makes the bounds decide every
+    # proposal unevaluated; the audit compares each chain's rate at its
+    # arrival with its evaluated anchor
+    _, stacked = _stacked_linreg(range(8))
+    stacked.metadata = ObjectiveMetadata(lipschitz_c1=0.1)
+    minibatch = PoissonSgdConfig(beta=1.0, epsilon=0.05, n_steps=20, batch_size=8)
+    with pytest.raises(RateBoundError, match="rate moved .* local bound"):
+        run_poisson_sgd_ensemble(stacked, minibatch, 8, rng=RngStream(0))
+
+
+def test_true_lipschitz_constants_pass_the_audit_across_seams():
+    # gradients jump where a chain crosses a seam; the audit binds only
+    # steps that stay in the box, so true constants never raise, with a
+    # full batch, per-chain mini-batches and the coupled sampler
+    bowl = quadratic_bowl([[0.5, 9.5], [1.0, 0.5], [9.0, 9.0], [0.2, 0.3]], side_lengths=10.0)
+    well = double_well_1d()
+    steps = range(401)
+    runs = [
+        run_poisson_sgd_ensemble(
+            bowl, PoissonSgdConfig(beta=1.0, epsilon=0.2, n_steps=400), 64, rng=RngStream(5), snapshot_steps=steps
+        ),
+        run_poisson_sgd_ensemble(
+            bowl,
+            PoissonSgdConfig(beta=1.0, epsilon=0.2, n_steps=400, batch_size=2),
+            64,
+            rng=RngStream(6),
+            snapshot_steps=steps,
+        ),
+        run_bps_ensemble(
+            well,
+            BpsConfig.coupled(beta=0.003, epsilon=1.0, grad_norm_bound=well.grad_norm_bound, n_steps=400),
+            64,
+            rng=RngStream(7),
+            snapshot_steps=steps,
+        ),
+    ]
+    for result, side in zip(runs, (10.0, 10.0, 16.0)):
+        path = np.array([result.snapshots[k] for k in steps])
+        crossings = np.any(np.abs(np.diff(path, axis=0)) > side / 2, axis=-1)
+        assert crossings.sum() >= 10
 
 
 def _counting_copy(obj, metadata):

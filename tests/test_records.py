@@ -5,6 +5,8 @@ import pytest
 
 from poisson_sgd.records import RunRecord, canonical_json
 
+from package_helpers import final_theta, read_record
+
 
 def test_canonical_json_sorted_and_compact():
     s = canonical_json({"b": 1, "a": [1.5, 2]})
@@ -50,7 +52,7 @@ def test_record_columns_and_final_theta():
     rec = _filled_record()
     theta = rec.column("theta")
     assert theta.shape == (6, 2)
-    assert np.allclose(rec.final_theta(), [0.6, 1.2])
+    assert np.allclose(final_theta(rec), [0.6, 1.2])
     assert np.allclose(rec.column("eta"), 0.01 * np.arange(1, 7))
 
 
@@ -63,7 +65,7 @@ def test_ndjson_roundtrip(tmp_path):
     assert head["schema"] == "poisson-sgd/run-record/1"
     assert head["kind"] == "poisson_sgd"
 
-    back = RunRecord.from_ndjson(path)
+    back = read_record(path)
     assert back.kind == rec.kind
     assert back.config == rec.config
     assert np.allclose(back.column("theta"), rec.column("theta"))
@@ -74,7 +76,7 @@ def test_ndjson_rejects_other_schema(tmp_path):
     path = tmp_path / "bad.ndjson"
     path.write_text('{"schema": "something-else/1"}\n')
     with pytest.raises(ValueError):
-        RunRecord.from_ndjson(path)
+        read_record(path)
 
 
 def test_max_norm_deviation_not_serialized(tmp_path):

@@ -80,6 +80,17 @@ def _every_row(value):
     return lambda rows: np.full(rows.shape, float(value))
 
 
+def _counted(rate_rows):
+    calls = {"rounds": 0, "proposals": 0}
+
+    def counted(radii, rows):
+        calls["rounds"] += 1
+        calls["proposals"] += radii.size
+        return rate_rows(radii, rows)
+
+    return counted, calls
+
+
 def _draw_one_by_one(rates, floor, ceiling, rng, count):
     """``count`` one-ray draws in a row from one stream."""
     return np.concatenate([thin_first_arrivals(rates, 1, floor, ceiling, rng) for _ in range(count)])
@@ -152,6 +163,75 @@ def test_thin_first_arrivals_without_slope_draws_pinned_values():
         0.2808046953856628,
         0.5287067978021533,
     ]
+
+
+def _wavy(radii, rows):
+    # 1.1-Lipschitz rates between 0.5 and 1.5, a different phase per row
+    return 1.0 + 0.5 * np.sin(2.2 * radii + 0.4 + rows[:, None])
+
+
+def test_thin_first_arrivals_with_a_slope_draws_pinned_values():
+    # the local-bound path is pinned too, draws and evaluations: two
+    # proposals per round under a loose ceiling, so rows draw again,
+    # re-anchor and need three rounds or more; seams as close as 0 (row 0
+    # is at its seam) leave some rows past theirs; the second call gives
+    # every row its own ceiling and evaluates its anchors
+    rate_rows, calls = _counted(_wavy)
+    draws = thin_first_arrivals(
+        rate_rows,
+        12,
+        0.5,
+        4.0,
+        RngStream(52),
+        block=2,
+        slope=1.1,
+        anchor_rates=lambda rows: _wavy(np.zeros((rows.size, 1)), rows)[:, 0],
+        seam_radii=lambda rows: 0.4 * (rows % 4) + 0.05 * rows,
+    )
+    assert draws.tolist() == [
+        0.5923216106314693,
+        0.2782386744255532,
+        0.6986447618924816,
+        0.2270391851320597,
+        0.6523246735448341,
+        0.9332168785904624,
+        0.7563484283899465,
+        0.08419859989813452,
+        2.312051170856011,
+        1.8533482622172506,
+        1.4229266262390832,
+        0.697147764531338,
+    ]
+    assert calls == {"rounds": 5, "proposals": 22}
+
+    rate_rows, calls = _counted(_wavy)
+    draws = thin_first_arrivals(
+        rate_rows,
+        12,
+        0.5,
+        1.5 + 0.5 * np.arange(12),
+        RngStream(53),
+        block=2,
+        slope=1.1,
+        evaluate_anchors=True,
+        seam_radii=lambda rows: 0.5 * (rows % 3),
+    )
+    assert draws.tolist() == [
+        0.002021501822339843,
+        2.2492960563761333,
+        0.0967107857246598,
+        1.758330103800287,
+        0.272871570960863,
+        1.1255550197111845,
+        1.9313563894847818,
+        0.977462286365638,
+        1.0699284660076673,
+        0.0276256410888842,
+        0.986832418742498,
+        0.3267631710867109,
+    ]
+    # the first call evaluates the 12 anchors
+    assert calls == {"rounds": 6, "proposals": 36}
 
 
 def test_thin_first_arrivals_requires_positive_floor():
@@ -241,17 +321,6 @@ def test_inverter_rejects_rate_below_floor():
 # ----------------------------------------------------------------------
 
 
-def _counted(rate_rows):
-    calls = {"rounds": 0, "proposals": 0}
-
-    def counted(radii, rows):
-        calls["rounds"] += 1
-        calls["proposals"] += radii.size
-        return rate_rows(radii, rows)
-
-    return counted, calls
-
-
 def _radial(fn):
     """The ``rate_rows`` of rays that all share the rate ``fn(radii)``."""
     return lambda radii, rows: fn(radii)
@@ -322,9 +391,11 @@ def test_evaluated_anchors_match_given_anchors_plus_one_rate_per_row(field):
         return fn(radii)
 
     local = dict(slope=slope, seam_radii=_every_row(seam))
+    anchors = np.empty(n)
     evaluated = thin_first_arrivals(
-        rate_rows, n, floor, ceiling, RngStream(43), evaluate_anchors=True, **local
+        rate_rows, n, floor, ceiling, RngStream(43), evaluate_anchors=True, anchors_out=anchors, **local
     )
+    assert np.array_equal(anchors, np.full(n, fn(np.zeros(1))[0]))
     given_rows, given = _counted(_radial(fn))
     anchors = _every_row(fn(np.zeros(1))[0])
     draws = thin_first_arrivals(given_rows, n, floor, ceiling, RngStream(43), anchor_rates=anchors, **local)
@@ -466,6 +537,8 @@ def test_local_bound_argument_validation():
         )
     with pytest.raises(ValueError):
         thin_first_arrivals(rate_rows, 3, 1.0, 2.0, RngStream(0), slope=1.0)
+    with pytest.raises(ValueError, match="anchors_out"):
+        thin_first_arrivals(rate_rows, 3, 1.0, 2.0, RngStream(0), slope=1.0, seam_radii=ones, anchors_out=np.empty(3))
     with pytest.raises(ValueError):
         thin_first_arrivals(rate_rows, 3, 1.0, 2.0, RngStream(0), slope=-1.0, seam_radii=ones)
     # the per-row callbacks are asked only for rows whose first level lies

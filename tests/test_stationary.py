@@ -226,7 +226,7 @@ def _traced_peak_mib(call) -> float:
 MEMORY_CASES = {
     "linreg grid": (lambda: StationaryDensity(linreg_synthetic(64, 2, 0.5, 0), 1.0, 0.05).grid(), 16),
     "linreg mean risk": (lambda: grid_mean_risk(linreg_synthetic(64, 2, 0.5, 0), 512), 16),
-    "3-d bowl grid": (lambda: StationaryDensity(quadratic_bowl([[5, 5, 5]], side_lengths=10), 0.03, 1.0).grid(), 32),
+    "3-d bowl grid": (lambda: StationaryDensity(quadratic_bowl([[5, 5, 5]], side_lengths=10), 0.03, 1.0).grid(), 8),
 }
 
 
