@@ -44,7 +44,8 @@ class GradientBoundError(RuntimeError):
 @dataclass(frozen=True)
 class ObjectiveMetadata:
     """Optional smoothness constants: a Lipschitz constant of the per-sample
-    gradient inside the box (seams aside).
+    gradient inside the box (seams aside), and optionally a bound on it over
+    any axis-aligned box within.
 
     A per-sample constant also bounds every mini-batch mean. When set,
     chains with ``beta > 0`` skip the rate evaluations that two-sided local
@@ -54,14 +55,26 @@ class ObjectiveMetadata:
     further than the constant allows, so a false constant aborts a run once
     an evaluation or a step exposes it. None bounds the rates by their
     envelope alone.
+
+    ``lipschitz_box(a, b)`` maps k axis-aligned boxes, each given by two
+    opposite corners ``a[i]`` and ``b[i]`` (two (k, d) arrays in box
+    coordinates, in either order), to (k,) bounds on the per-sample
+    Hessian's norm over each box, none above ``lipschitz_c1``. Objectives
+    whose curvature varies declare it; chains whose ceiling is far above
+    their floor then thin each ray against the bound over its own
+    neighbourhood (see ``optimizer._run_chains``), audited on every step
+    like the constant. It needs ``lipschitz_c1``.
     """
 
     lipschitz_c1: float | None = None
+    lipschitz_box: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         value = self.lipschitz_c1
         if value is not None and not (math.isfinite(value) and value >= 0.0):
             raise ValueError(f"lipschitz_c1 must be finite and >= 0, got {value!r}")
+        if self.lipschitz_box is not None and value is None:
+            raise ValueError("lipschitz_box needs lipschitz_c1")
 
 
 class _SampledBatches(np.ndarray):
@@ -404,6 +417,34 @@ def _quartic_grad_sup(lo: float, hi: float) -> float:
     return max(abs(float(_quartic_grad(np.asarray(c)))) for c in candidates)
 
 
+def _quartic_lipschitz_box(offset: float):
+    """The ``lipschitz_box`` of a double well whose x-axis is the box's first,
+    shifted by ``offset``, and whose Hessian is diag(f''(x), 2) (the 2 only
+    in 2-d).
+
+    f''(x) = 12x^2 - 24x - 72 = 12 (x - 1)^2 - 84 is convex with its vertex
+    at x = 1, so its largest |f''| on an interval is at an end or, when the
+    interval holds it, the vertex's 84. The bound takes the largest of the
+    three whether or not the interval holds the vertex, max(12 max((x_a -
+    1)^2, (x_b - 1)^2) - 84, 84), in fewer array operations: it is exact
+    wherever |f''| reaches 84 on the interval, never below the y-axis's 2,
+    and never above ``lipschitz_c1``, its value on the whole box.
+    """
+    vertex = offset + 1.0
+
+    def lipschitz_box(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        ua = a[:, 0] - vertex
+        ub = b[:, 0] - vertex
+        ua *= ua
+        ub *= ub
+        far = np.maximum(ua, ub, out=ua)
+        far *= 12.0
+        far -= 84.0
+        return np.maximum(far, 84.0, out=far)
+
+    return lipschitz_box
+
+
 def double_well_1d(side: float = 16.0, offset: float = 6.0) -> AnalyticObjective:
     """Quartic double well on a circle.
 
@@ -424,14 +465,15 @@ def double_well_1d(side: float = 16.0, offset: float = 6.0) -> AnalyticObjective
         return _quartic_grad(theta - off)
 
     bound = _quartic_grad_sup(lo, hi)
-    curv = max(abs(12.0 * x * x - 24.0 * x - 72.0) for x in (lo, hi))
+    lipschitz_box = _quartic_lipschitz_box(off)
+    curv = float(lipschitz_box(np.zeros((1, 1)), domain.sides[None, :])[0])
     return AnalyticObjective(
         fn,
         grad,
         domain,
         bound,
         "double_well_1d",
-        metadata=ObjectiveMetadata(lipschitz_c1=curv),
+        metadata=ObjectiveMetadata(lipschitz_c1=curv, lipschitz_box=lipschitz_box),
         global_minimum=[off + 6.0],
         local_minima=[[off - 3.0]],
         extra={"offset": off, "barrier": [off]},
@@ -479,14 +521,15 @@ def double_well_2d(
 
     y_max = max(off[1], domain.side_lengths[1] - off[1])
     bound = math.hypot(_quartic_grad_sup(lo, hi), 2.0 * y_max)
-    curv = max(max(abs(12.0 * x * x - 24.0 * x - 72.0) for x in (lo, hi)), 2.0)
+    lipschitz_box = _quartic_lipschitz_box(float(off[0]))
+    curv = float(lipschitz_box(np.zeros((1, 2)), domain.sides[None, :])[0])
     return AnalyticObjective(
         fn,
         grad,
         domain,
         bound,
         "double_well_2d",
-        metadata=ObjectiveMetadata(lipschitz_c1=curv),
+        metadata=ObjectiveMetadata(lipschitz_c1=curv, lipschitz_box=lipschitz_box),
         global_minimum=off + [6.0, 0.0],
         local_minima=[off + [-3.0, 0.0]],
         extra={"offset": off.tolist(), "saddle": off.tolist()},

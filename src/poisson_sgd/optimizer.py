@@ -30,12 +30,17 @@ With a full batch that anchor is free from the second step on, the rate
 the reflection gradient already gives; per-chain mini-batches pay one
 evaluated rate of each step's own batches for it. The loop computes every
 ray's seam and free anchor in one pass each per step, and thinning reads
-them only for rays whose first proposal the envelope leaves open. The
-same gradients audit the declared constant on every step: a chain whose
+them only for rays whose first proposal the envelope leaves open. When the
+objective also bounds its curvature on boxes (``lipschitz_box``) and the
+pass pays (see ``_BOX_BOUND_MIN_SPREAD``), the same pass gives each ray
+its own slope, from the bound over its neighbourhood: the segment up to
+its first seam or ``_BOX_BOUND_REACH / floor``, which becomes its seam.
+The same gradients audit the declared bounds on every step: a chain whose
 step stayed in the box must not have moved its gradient (full batch) or
-its rate (per-chain batches) by more than the constant allows over the
-step length, or the run aborts with ``RateBoundError``, since sure
-decisions against a false constant are never evaluated.
+its rate (per-chain batches) by more than the constant, or its ray's own
+bound if the step ended within its neighbourhood, allows over the step
+length, or the run aborts with ``RateBoundError``, since sure decisions
+against a false bound are never evaluated.
 Each step's rays thin against ``sampler.ray_rate_rows`` over the step's
 gradient field, the same rate the event-law oracles test; it is evaluated
 as a flat list of the undecided proposals. An objective
@@ -67,6 +72,23 @@ __all__ = [
 ZERO_GRAD_TOL = 1e-12
 # array elements the Lipschitz audit holds per check (see _run_chains)
 _AUDIT_ELEMENTS = 1 << 12
+# Rays thin against the curvature of their own neighbourhood (an objective's
+# ``lipschitz_box``) only where that pays for its per-step pass: when the
+# ceiling is at least _BOX_BOUND_MIN_SPREAD floors high (below it the
+# envelope decides nearly every proposal; coupled BPS, lambda_ref + c_b =
+# beta * M + 1/epsilon, stays under 2 floors, criterion 5's chains sit at
+# 1.006) and the constant's slope beta * L is at least _BOX_BOUND_MIN_SLACK
+# floor^2. beta * L / floor^2 is how far, in floors, the constant lets the
+# rate move over one mean free length 1/floor, about the proposals it leaves
+# undecided per chain-step; at 0.012 (double_well_2d at beta 0.001 and
+# epsilon 0.05) the pass saved less than it cost.
+_BOX_BOUND_MIN_SPREAD = 2.0
+_BOX_BOUND_MIN_SLACK = 0.05
+# A ray's neighbourhood ends at this many mean free lengths 1/floor, or at
+# its first seam if nearer: the rate never falls below the floor, so the
+# arrival lies past it with probability below e^-8, and is then drawn
+# against the envelope alone.
+_BOX_BOUND_REACH = 8.0
 
 
 def reflect(v, g, tol: float = ZERO_GRAD_TOL):
@@ -191,14 +213,15 @@ def _start_rates(grads: np.ndarray, headings: np.ndarray, beta: float, floor: fl
     return rates
 
 
-def _audit_lipschitz(changes, lengths, ends, lipschitz: float, tol, domain) -> None:
+def _audit_lipschitz(changes, lengths, ends, lipschitz, tol, domain) -> None:
     """Raise ``RateBoundError`` if a chain moved its rate or its gradient by
     more than ``lipschitz * eta + tol`` over a step that stayed in the box.
 
     Each list holds one entry per audited step: the (N,) changes of the
     rates or the (N, d) changes of the gradients, the (N,) step lengths and
-    the (N, d) unwrapped endpoints. A step stayed in the box, which is
-    convex, when its endpoint lies in it.
+    the (N, d) unwrapped endpoints. ``lipschitz`` is one constant, or one
+    per step and chain. A step stayed in the box, which is convex, when its
+    endpoint lies in it.
     """
     change = np.array(changes)
     moved = change * change if change.ndim == 2 else np.einsum("bnd,bnd->bn", change, change)
@@ -215,8 +238,8 @@ def _audit_lipschitz(changes, lengths, ends, lipschitz: float, tol, domain) -> N
             what = "rate" if change.ndim == 2 else "gradient"
             raise RateBoundError(
                 f"the {what} moved {math.sqrt(moved.flat[i]):.6g} over one step, beyond its local bound "
-                f"{math.sqrt(limits.flat[i]):.6g} from lipschitz_c1: the declared Lipschitz constant is false; "
-                "aborting instead of drawing biased times"
+                f"{math.sqrt(limits.flat[i]):.6g} from lipschitz_c1 (or lipschitz_box): the declared Lipschitz "
+                "bound is false; aborting instead of drawing biased times"
             )
 
 
@@ -303,6 +326,15 @@ def _run_chains(
     lipschitz = objective.metadata.lipschitz_c1
     local_bounds = lipschitz is not None and cfg.beta > 0.0
     slope = cfg.beta * lipschitz if local_bounds else None
+    # Where it pays, each ray's seam ends at _BOX_BOUND_REACH / floor if
+    # nearer, and its slope is beta times the box bound over the segment up
+    # to it (at most the constant's).
+    box_bound = objective.metadata.lipschitz_box if local_bounds else None
+    if box_bound is not None and (
+        np.min(ceiling) < _BOX_BOUND_MIN_SPREAD * floor or slope < _BOX_BOUND_MIN_SLACK * floor * floor
+    ):
+        box_bound = None
+    reach = _BOX_BOUND_REACH / floor
     anchors = None
     fld = objective.grad_field(None)
     # The audit of the declared constant, on every step that thins against
@@ -320,7 +352,7 @@ def _run_chains(
         audit_limit = slope if per_chain_batches else lipschitz
         audit_tol = _RTOL * (ceiling if per_chain_batches else objective.grad_norm_bound) + 1e-12
         audit_every = max(1, _AUDIT_ELEMENTS // (N * d))
-        changes, lengths, ends = [], [], []
+        changes, lengths, ends, segments, constants = [], [], [], [], []
     grads = None
 
     wanted = {int(s) for s in snapshot_steps}
@@ -344,6 +376,14 @@ def _run_chains(
             idx = _sample_batches(gen, N, n, m)
             fld = objective.grad_field(idx)
 
+        if local_bounds:
+            seams = domain.first_seam_radii(thetas, vels)
+            if box_bound is not None:
+                np.minimum(seams, reach, out=seams)
+                far = seams[:, None] * vels
+                far += thetas
+                curvature = np.minimum(box_bound(thetas, far), lipschitz)
+                slope = curvature * cfg.beta
         if cfg.beta == 0.0:
             # rate is exactly the constant floor: draw directly
             etas = gen.exponential(1.0 / floor, size=N)
@@ -357,7 +397,7 @@ def _run_chains(
                 slope=slope,
                 anchor_rates=anchors,
                 evaluate_anchors=local_bounds and per_chain_batches,
-                seam_radii=domain.first_seam_radii(thetas, vels).__getitem__ if local_bounds else None,
+                seam_radii=seams.__getitem__ if local_bounds else None,
                 anchors_out=rates_at_zero if local_bounds else None,
             )
         eta_sum += float(etas.sum())
@@ -374,8 +414,18 @@ def _run_chains(
             changes.append(change)
             lengths.append(etas)
             ends.append(raw)
+            if box_bound is not None:
+                segments.append(seams)
+                constants.append(slope if per_chain_batches else curvature)
             if len(lengths) == audit_every or k == cfg.n_steps:
-                _audit_lipschitz(changes, lengths, ends, audit_limit, audit_tol, domain)
+                limit = audit_limit
+                if box_bound is not None:
+                    # a ray's own constant binds a step that ended within
+                    # its neighbourhood
+                    within = np.array(lengths) <= np.array(segments)
+                    limit = np.where(within, np.array(constants), audit_limit)
+                    segments, constants = [], []
+                _audit_lipschitz(changes, lengths, ends, limit, audit_tol, domain)
                 changes, lengths, ends = [], [], []
         vels, tags, counts = cfg.turn(vels, grads, rng)
         for name, count in counts.items():

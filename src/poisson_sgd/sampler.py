@@ -20,8 +20,10 @@ sure acceptance. The bounds are the envelope
 ``[C, ceiling]``, narrowed by a Lipschitz constant: if ``g`` is
 ``L``-Lipschitz the rate moves by at most ``beta * L`` per unit radius, so
 ``q_a -/+ beta * L * (r - r_a)`` bound it past any anchor radius ``r_a``
-whose rate ``q_a`` is known. The draws stay exactly those of evaluating
-every proposal; only the evaluations shrink. On the torus ``g`` jumps where
+whose rate ``q_a`` is known. That slope may be one per ray, from the
+curvature of the ray's own neighbourhood, which is tighter wherever the
+curvature varies. The draws stay exactly those of evaluating every
+proposal; only the evaluations shrink. On the torus ``g`` jumps where
 the ray crosses a seam, so a local bound holds only up to the ray's first
 seam crossing (``TorusDomain.first_seam_radii``, moved inward by a margin
 that floating-point rounding cannot cross); past it only the envelope
@@ -43,11 +45,12 @@ A round costs a fixed number of array operations, whatever its number of
 rows, and small ensembles run several rounds per draw (a few rows miss
 every proposal of a round), so the round is written for few operations:
 only the first round gathers the rows it keeps, later rounds carry every
-row that drew again, a row's seam and bounds travel as one (3,) record,
-each check compares against limits computed once per call, and every
-evaluated proposal re-anchors its row, so that the rows that draw again
-need no search for their last evaluation. Rows of 2-d arrays are gathered
-with ``take``, several times cheaper than fancy indexing.
+row that drew again, a row's seam and bounds (and its own slope, if
+slopes are per ray) travel as one record, each check compares against
+limits computed once per call, and every evaluated proposal re-anchors its
+row, so that the rows that draw again need no search for their last
+evaluation. Rows of 2-d arrays are gathered with ``take``, several times
+cheaper than fancy indexing.
 """
 
 from __future__ import annotations
@@ -114,19 +117,25 @@ def uniform_sphere(d: int, rng, size: int | None = None) -> np.ndarray:
     """Uniform draw(s) on the unit sphere S^{d-1} via normalized Gaussians.
 
     Returns shape (d,) for ``size=None`` else (size, d). For d = 1 this is a
-    fair coin on {-1, +1}.
+    fair coin on {-1, +1}: the signs of the Gaussians, which is what
+    normalizing them gives, bit for bit (in binary floating point sqrt(x *
+    x) is |x| and x / |x| is exactly +-1), without the division.
     """
     if int(d) != d or d < 1:
         raise ValueError(f"d must be a positive integer, got {d!r}")
     gen = as_generator(rng)
-    n = 1 if size is None else int(size)
-    out = gen.standard_normal((n, int(d)))
-    norms = _row_norms(out)
-    while np.count_nonzero(norms < 1e-150):  # probability ~0, but keep the law exact
+    n, d = 1 if size is None else int(size), int(d)
+    out = gen.standard_normal((n, d))
+    while True:  # a redraw has probability ~0, but keeps the law exact
+        norms = np.abs(out[:, 0]) if d == 1 else _row_norms(out)
         bad = norms < 1e-150
-        out[bad] = gen.standard_normal((int(bad.sum()), int(d)))
-        norms = _row_norms(out)
-    out /= norms[:, None]
+        if not np.count_nonzero(bad):
+            break
+        out[bad] = gen.standard_normal((int(bad.sum()), d))
+    if d == 1:
+        np.copysign(1.0, out, out=out)
+    else:
+        out /= norms[:, None]
     return out[0] if size is None else out
 
 
@@ -178,7 +187,7 @@ def thin_first_arrivals(
     block: int | None = None,
     max_proposals: int = 200_000_000,
     *,
-    slope: float | None = None,
+    slope=None,
     anchor_rates: Callable[[np.ndarray], np.ndarray] | None = None,
     evaluate_anchors: bool = False,
     seam_radii: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -205,11 +214,14 @@ def thin_first_arrivals(
     evaluating every proposal on the same stream, at a fraction of the rate
     evaluations. The local bounds hold while the rate is ``slope``-Lipschitz
     in r, i.e. below the row's seam radius; past it, or before a row has an
-    anchor, they widen to the envelope. A row that draws again re-anchors at
-    its last evaluated proposal before its seam. Every evaluated rate is
-    checked against both local bounds as well as its row's envelope, so a
-    false ``slope`` or ceiling raises ``RateBoundError`` whichever side it
-    breaks. The evaluated proposals go to ``rate_rows`` as one flat list.
+    anchor, they widen to the envelope. With one slope per ray, each row's
+    bounds use its own, so a caller may pass the slope of a stretch of the
+    ray and end the row's seam where that stretch ends. A row that draws
+    again re-anchors at its last evaluated proposal before its seam. Every
+    evaluated rate is checked against both local bounds as well as its
+    row's envelope, so a false ``slope`` or ceiling raises
+    ``RateBoundError`` whichever side it breaks. The evaluated proposals go
+    to ``rate_rows`` as one flat list.
 
     The envelope alone decides every row whose first level lies below the
     floor: it arrives at its first proposal. All further work of the first
@@ -232,8 +244,11 @@ def thin_first_arrivals(
         rng: stream consumed by the draws.
         block: proposals drawn per ray per round; default sized from the
             mean ceiling so one round usually suffices.
-        slope: Lipschitz constant of every rate in r between seams. None
-            bounds every rate by the envelope alone.
+        slope: Lipschitz constant in r of the rates below their seams,
+            shared (a scalar) or per ray ((n,)), like ``ceiling``; a ray's
+            own slope may bound only the stretch below its own seam. None
+            bounds every rate by the envelope alone. Equal per-ray slopes
+            draw and evaluate exactly what the shared slope does.
         anchor_rates: callback mapping rows (k,) -> their rates at radius 0
             (k,), which anchor the rows' local bounds; each rate it returns
             is checked against its row's envelope. None leaves rows
@@ -263,7 +278,15 @@ def thin_first_arrivals(
         raise ValueError("floor and ceiling must be positive and finite")
     if floor > lowest * (1.0 + _RTOL):
         raise ValueError("floor exceeds ceiling")
-    if slope is None:
+    # a per-ray slope travels in a fourth column of ``bounds`` (below)
+    row_slopes = slope is not None and not isinstance(slope, float) and np.ndim(slope) > 0
+    if row_slopes:
+        slope = np.asarray(slope, dtype=float)
+        if slope.shape != (n,):
+            raise ValueError(f"slope must be a scalar or have shape ({n},)")
+        if not (slope.min() >= 0.0 and slope.max() < math.inf) or seam_radii is None:
+            raise ValueError("slope must be finite and >= 0, with seam_radii")
+    elif slope is None:
         if anchor_rates is not None or evaluate_anchors or seam_radii is not None:
             raise ValueError("anchor_rates, evaluate_anchors and seam_radii need a slope")
     elif not (math.isfinite(slope) and slope >= 0.0) or seam_radii is None:
@@ -296,8 +319,9 @@ def thin_first_arrivals(
     # ``high``: below the seam the row's rate at radius r lies in [low + tol -
     # slope * r, high - tol + slope * r], where low = q_a + slope * r_a - tol
     # and high = q_a - slope * r_a + tol from its anchor (r_a, q_a); they are
-    # -inf and +inf while the row has none. A row gets its seam and anchor
-    # when it first has an open proposal, as every row that draws again has.
+    # -inf and +inf while the row has none. With per-ray slopes, a fourth
+    # column holds the row's own. A row gets its seam and anchor when it
+    # first has an open proposal, as every row that draws again has.
     bounds = None
     proposed = 0
     while True:
@@ -326,10 +350,12 @@ def thin_first_arrivals(
             radii += offsets[:, None]
         if slope is not None:
             if bounds is None:
-                bounds = np.empty((rows.size, 3))
+                bounds = np.empty((rows.size, 4 if row_slopes else 3))
                 bounds[:, 0] = _per_row(seam_radii, rows, "seam_radii")
+                if row_slopes:
+                    bounds[:, 3] = slope[rows]
                 if anchor_rates is None:
-                    bounds[:, 1:] = (-np.inf, np.inf)
+                    bounds[:, 1:3] = (-np.inf, np.inf)
                 else:
                     q = _per_row(anchor_rates, rows, "anchor_rates")
                     if not evaluate_anchors:
@@ -337,7 +363,7 @@ def thin_first_arrivals(
                     margin = tol[rows] if per_row else tol
                     np.subtract(q, margin, out=bounds[:, 1])
                     np.add(q, margin, out=bounds[:, 2])
-            reach = radii * slope
+            reach = radii * (bounds[:, 3:] if row_slopes else slope)
             # radii grow along a row, so only a row whose last radius reaches
             # its seam has proposals past it, where the rate may jump
             beyond = np.count_nonzero(radii[:, -1] < bounds[:, 0]) < rows.size
@@ -352,7 +378,7 @@ def thin_first_arrivals(
         if slope is None:
             need = ~surely
         else:  # and below the upper bound; for booleans a > b is a and not b
-            need = np.greater(levels - reach < bounds[:, 2:], surely)
+            need = np.greater(levels - reach < bounds[:, 2:3], surely)
         at = need.ravel().nonzero()[0]
         if at.size:
             local = at // block
@@ -392,7 +418,7 @@ def thin_first_arrivals(
                 carried[:, 1] += margin
                 if beyond:
                     carried[reach_at[last] == np.inf] = (-np.inf, np.inf)
-                bounds[local[last], 1:] = carried
+                bounds[local[last], 1:3] = carried
             bounds = bounds.take(missed, axis=0)
         offsets = radii[:, -1][missed]
         active = rows[missed]

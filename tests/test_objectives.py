@@ -6,6 +6,7 @@ from poisson_sgd.objectives import (
     BUILTIN_OBJECTIVES,
     GradientBoundError,
     LinearRegressionObjective,
+    ObjectiveMetadata,
     build_objective,
     double_well_1d,
     double_well_2d,
@@ -237,6 +238,71 @@ def test_declared_lipschitz_constants_bound_every_minibatch_field():
             field = obj.grad_field(_sample_batches(gen, pairs, n, m))
             moved = np.linalg.norm(field(a) - field(b), axis=1)
             assert np.all(moved <= limit), (obj.name, m, float(np.max(moved / limit)))
+
+
+def _curvature_norm(obj, points):
+    """||Hessian|| of a double well at (k, d) points: |f''(x)|, and at least
+    2 (the y-axis) in 2-d."""
+    x = points[:, 0] - np.ravel(obj.extra["offset"])[0]
+    curv = np.abs(12.0 * x * x - 24.0 * x - 72.0)
+    return np.maximum(curv, 2.0) if obj.domain.dim == 2 else curv
+
+
+def _random_boxes(obj, gen, k):
+    """Corner pairs (a, b) of k random boxes, in either order: a third
+    anywhere in the box, a third straddling the vertex x = 1 of f'', a third
+    touching a box edge."""
+    dom = obj.domain
+    a = dom.sample_uniform(gen, k)
+    b = dom.sample_uniform(gen, k)
+    vertex = np.ravel(obj.extra["offset"])[0] + 1.0
+    third = k // 3
+    a[third : 2 * third, 0] = vertex - 3.0 * gen.random(third)
+    b[third : 2 * third, 0] = vertex + 3.0 * gen.random(third)
+    edge = slice(2 * third, k)
+    a[edge] = np.where(gen.random(a[edge].shape) < 0.5, 0.0, dom.sides)
+    return a, b
+
+
+def test_double_well_box_bounds_dominate_the_curvature():
+    # lipschitz_box must bound ||Hessian|| on every box, straddling the
+    # vertex of f'' or touching the box edges, never exceed lipschitz_c1,
+    # equal it on the whole box, and bound every gradient difference along
+    # an in-box segment by its bounding box's bound times its length
+    gen = RngStream(42).generator
+    for obj in (double_well_1d(), double_well_2d()):
+        meta, dom = obj.metadata, obj.domain
+        whole = meta.lipschitz_box(np.zeros((1, dom.dim)), dom.sides[None, :])
+        assert whole.tolist() == [meta.lipschitz_c1]
+        a, b = _random_boxes(obj, gen, 3000)
+        bound = meta.lipschitz_box(a, b)
+        assert bound.shape == (3000,)
+        assert np.array_equal(bound, meta.lipschitz_box(b, a))
+        assert np.all(bound <= meta.lipschitz_c1)
+        # the corners and 64 points inside each box
+        inside = a[:, None, :] + gen.random((3000, 64, dom.dim)) * (b - a)[:, None, :]
+        inside = np.concatenate([a[:, None, :], b[:, None, :], inside], axis=1)
+        sampled = _curvature_norm(obj, inside.reshape(-1, dom.dim)).reshape(3000, -1).max(axis=1)
+        assert np.all(sampled <= bound * (1.0 + 1e-12)), float(np.max(sampled / bound))
+        # straddling boxes hold the vertex, where |f''| is 84
+        straddle = slice(1000, 2000)
+        assert np.all(bound[straddle] >= 84.0)
+        # segments: each from a box corner to a point of its box
+        moved = np.linalg.norm(obj.grad(a) - obj.grad(inside[:, 5]), axis=1)
+        length = np.linalg.norm(a - inside[:, 5], axis=1)
+        assert np.all(moved <= bound * length * (1.0 + 1e-9) + 1e-10)
+        # short segments, where the bound is nearly the local curvature
+        c = a + 1e-3 * (b - a)
+        moved = np.linalg.norm(obj.grad(a) - obj.grad(c), axis=1)
+        limit = meta.lipschitz_box(a, c) * np.linalg.norm(a - c, axis=1)
+        assert np.all(moved <= limit * (1.0 + 1e-9) + 1e-10)
+
+
+def test_a_box_bound_needs_a_lipschitz_constant():
+    with pytest.raises(ValueError, match="lipschitz_box"):
+        ObjectiveMetadata(lipschitz_box=lambda a, b: np.ones(len(a)))
+    assert quadratic_bowl([[1.0, 2.0]]).metadata.lipschitz_box is None
+    assert linreg_synthetic(8, 2, 0.5, seed=0).metadata.lipschitz_box is None
 
 
 # ----------------------------------------------------------------------

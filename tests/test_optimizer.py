@@ -272,10 +272,24 @@ def test_ensembles_refuse_a_false_lipschitz_constant():
         run_poisson_sgd_ensemble(stacked, minibatch, 8, rng=RngStream(0))
 
 
+def test_ensembles_refuse_a_false_lipschitz_box():
+    # double_well_2d's curvature near its local minimum is about 108; a box
+    # bound of 2 everywhere makes the rays' local bounds false. On this seed
+    # no evaluated rate exposes them before the per-step audit, against
+    # each ray's own constant, does
+    obj = copy.copy(double_well_2d())
+    obj.metadata = dataclasses.replace(obj.metadata, lipschitz_box=lambda a, b: np.full(len(a), 2.0))
+    starts = obj.local_minima[0] + RngStream(9).generator.uniform(-0.1, 0.1, size=(100, 2))
+    cfg = PoissonSgdConfig(beta=0.01, epsilon=0.05, n_steps=50)
+    with pytest.raises(RateBoundError, match="gradient moved .* local bound"):
+        run_poisson_sgd_ensemble(obj, cfg, 100, rng=RngStream(1), initial_points=starts)
+
+
 def test_true_lipschitz_constants_pass_the_audit_across_seams():
     # gradients jump where a chain crosses a seam; the audit binds only
     # steps that stay in the box, so true constants never raise, with a
-    # full batch, per-chain mini-batches and the coupled sampler
+    # full batch, per-chain mini-batches and the coupled sampler, nor does
+    # a true box bound (the optimizer on the 1-d well, 7 floors high)
     bowl = quadratic_bowl([[0.5, 9.5], [1.0, 0.5], [9.0, 9.0], [0.2, 0.3]], side_lengths=10.0)
     well = double_well_1d()
     steps = range(401)
@@ -297,8 +311,11 @@ def test_true_lipschitz_constants_pass_the_audit_across_seams():
             rng=RngStream(7),
             snapshot_steps=steps,
         ),
+        run_poisson_sgd_ensemble(
+            well, PoissonSgdConfig(beta=0.003, epsilon=1.0, n_steps=400), 64, rng=RngStream(8), snapshot_steps=steps
+        ),
     ]
-    for result, side in zip(runs, (10.0, 10.0, 16.0)):
+    for result, side in zip(runs, (10.0, 10.0, 16.0, 16.0)):
         path = np.array([result.snapshots[k] for k in steps])
         crossings = np.any(np.abs(np.diff(path, axis=0)) > side / 2, axis=-1)
         assert crossings.sum() >= 10
@@ -379,6 +396,43 @@ def test_local_bounds_keep_every_draw():
         assert runs[0].extras == runs[1].extras
         assert runs[0].records[0].rows == runs[1].records[0].rows
         assert local.points < blind.points
+    # escape's chains near double_well_2d's local minimum, where the
+    # curvature is far below the box's 4716: thinning each ray against its
+    # own neighbourhood's bound (lipschitz_box) draws the same and
+    # evaluates fewer points than the constant alone
+    dw2 = double_well_2d()
+    starts = dw2.local_minima[0] + RngStream(9).generator.uniform(-0.1, 0.1, size=(100, 2))
+    escape = PoissonSgdConfig(beta=0.01, epsilon=0.05, n_steps=100)
+    boxed = _counting_copy(dw2, dw2.metadata)
+    constant = _counting_copy(dw2, ObjectiveMetadata(lipschitz_c1=dw2.metadata.lipschitz_c1))
+    runs = [
+        run_poisson_sgd_ensemble(twin, escape, 100, rng=RngStream(13), initial_points=starts, record_chains=[1])
+        for twin in (boxed, constant)
+    ]
+    assert runs[0].thetas.tobytes() == runs[1].thetas.tobytes()
+    assert runs[0].velocities.tobytes() == runs[1].velocities.tobytes()
+    assert runs[0].records[0].rows == runs[1].records[0].rows
+    assert boxed.points < constant.points
+
+
+def test_runs_below_the_box_bound_gate_evaluate_as_without_it():
+    # the box bound's per-step pass runs only where it pays: coupled BPS
+    # (ceiling under 2 floors) and double_well_2d at beta 0.001 (the
+    # constant leaves about 0.012 proposals undecided per chain-step) keep
+    # the constant's path, evaluation for evaluation
+    dw1, dw2 = double_well_1d(), double_well_2d()
+    coupled = BpsConfig.coupled(beta=0.003, epsilon=1.0, grad_norm_bound=dw1.grad_norm_bound, n_steps=20)
+    shallow = PoissonSgdConfig(beta=0.001, epsilon=0.05, n_steps=50)
+    assert shallow.ceiling(dw2.grad_norm_bound) > 2 * shallow.floor
+    for obj, run in (
+        (dw1, lambda twin: run_bps_ensemble(twin, coupled, 200, rng=RngStream(14))),
+        (dw2, lambda twin: run_poisson_sgd_ensemble(twin, shallow, 50, rng=RngStream(15))),
+    ):
+        boxed = _counting_copy(obj, obj.metadata)
+        constant = _counting_copy(obj, ObjectiveMetadata(lipschitz_c1=obj.metadata.lipschitz_c1))
+        runs = [run(twin) for twin in (boxed, constant)]
+        assert runs[0].thetas.tobytes() == runs[1].thetas.tobytes()
+        assert boxed.points == constant.points
 
 
 def test_recorded_chains_of_stacked_datasets_are_scored_on_their_own():

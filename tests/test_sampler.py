@@ -175,63 +175,102 @@ def test_thin_first_arrivals_with_a_slope_draws_pinned_values():
     # proposals per round under a loose ceiling, so rows draw again,
     # re-anchor and need three rounds or more; seams as close as 0 (row 0
     # is at its seam) leave some rows past theirs; the second call gives
-    # every row its own ceiling and evaluates its anchors
-    rate_rows, calls = _counted(_wavy)
-    draws = thin_first_arrivals(
-        rate_rows,
-        12,
-        0.5,
-        4.0,
-        RngStream(52),
-        block=2,
-        slope=1.1,
-        anchor_rates=lambda rows: _wavy(np.zeros((rows.size, 1)), rows)[:, 0],
-        seam_radii=lambda rows: 0.4 * (rows % 4) + 0.05 * rows,
-    )
-    assert draws.tolist() == [
-        0.5923216106314693,
-        0.2782386744255532,
-        0.6986447618924816,
-        0.2270391851320597,
-        0.6523246735448341,
-        0.9332168785904624,
-        0.7563484283899465,
-        0.08419859989813452,
-        2.312051170856011,
-        1.8533482622172506,
-        1.4229266262390832,
-        0.697147764531338,
-    ]
-    assert calls == {"rounds": 5, "proposals": 22}
+    # every row its own ceiling and evaluates its anchors. Per-ray slopes
+    # all equal to the shared one draw and evaluate exactly what it does
+    for slope in (1.1, np.full(12, 1.1)):
+        rate_rows, calls = _counted(_wavy)
+        draws = thin_first_arrivals(
+            rate_rows,
+            12,
+            0.5,
+            4.0,
+            RngStream(52),
+            block=2,
+            slope=slope,
+            anchor_rates=lambda rows: _wavy(np.zeros((rows.size, 1)), rows)[:, 0],
+            seam_radii=lambda rows: 0.4 * (rows % 4) + 0.05 * rows,
+        )
+        assert draws.tolist() == [
+            0.5923216106314693,
+            0.2782386744255532,
+            0.6986447618924816,
+            0.2270391851320597,
+            0.6523246735448341,
+            0.9332168785904624,
+            0.7563484283899465,
+            0.08419859989813452,
+            2.312051170856011,
+            1.8533482622172506,
+            1.4229266262390832,
+            0.697147764531338,
+        ]
+        assert calls == {"rounds": 5, "proposals": 22}
 
-    rate_rows, calls = _counted(_wavy)
-    draws = thin_first_arrivals(
-        rate_rows,
-        12,
-        0.5,
-        1.5 + 0.5 * np.arange(12),
-        RngStream(53),
-        block=2,
-        slope=1.1,
-        evaluate_anchors=True,
-        seam_radii=lambda rows: 0.5 * (rows % 3),
-    )
-    assert draws.tolist() == [
-        0.002021501822339843,
-        2.2492960563761333,
-        0.0967107857246598,
-        1.758330103800287,
-        0.272871570960863,
-        1.1255550197111845,
-        1.9313563894847818,
-        0.977462286365638,
-        1.0699284660076673,
-        0.0276256410888842,
-        0.986832418742498,
-        0.3267631710867109,
-    ]
-    # the first call evaluates the 12 anchors
-    assert calls == {"rounds": 6, "proposals": 36}
+        rate_rows, calls = _counted(_wavy)
+        draws = thin_first_arrivals(
+            rate_rows,
+            12,
+            0.5,
+            1.5 + 0.5 * np.arange(12),
+            RngStream(53),
+            block=2,
+            slope=slope,
+            evaluate_anchors=True,
+            seam_radii=lambda rows: 0.5 * (rows % 3),
+        )
+        assert draws.tolist() == [
+            0.002021501822339843,
+            2.2492960563761333,
+            0.0967107857246598,
+            1.758330103800287,
+            0.272871570960863,
+            1.1255550197111845,
+            1.9313563894847818,
+            0.977462286365638,
+            1.0699284660076673,
+            0.0276256410888842,
+            0.986832418742498,
+            0.3267631710867109,
+        ]
+        # the first call evaluates the 12 anchors
+        assert calls == {"rounds": 6, "proposals": 36}
+
+
+# row i's rate swings by AMPLITUDES[i % 4] around 1.0, so its own slope is
+# 2.2 times that, and the largest, 1.1, is every row's shared slope
+AMPLITUDES = np.array([0.5, 0.2, 0.05, 0.0])
+
+
+def _swinging(radii, rows):
+    return 1.0 + AMPLITUDES[rows % 4, None] * np.sin(2.2 * radii + 0.4 + rows[:, None])
+
+
+@pytest.mark.parametrize("seed", [54, 55, 56])
+def test_smaller_per_ray_slopes_draw_the_same_and_evaluate_no_more(seed):
+    n = 400
+    rows = np.arange(n)
+    anchors = _swinging(np.zeros((n, 1)), rows)[:, 0]
+    seams = 0.5 + 0.01 * (rows % 50)
+    runs = []
+    for slope in (1.1, 2.2 * AMPLITUDES[rows % 4]):
+        rate_rows, calls = _counted(_swinging)
+        draws = thin_first_arrivals(
+            rate_rows,
+            n,
+            0.5,
+            3.0,
+            RngStream(seed),
+            block=3,
+            slope=slope,
+            anchor_rates=anchors.__getitem__,
+            seam_radii=seams.__getitem__,
+        )
+        runs.append((draws, calls))
+    (shared, shared_calls), (per_ray, per_ray_calls) = runs
+    assert shared.tobytes() == per_ray.tobytes()
+    assert per_ray_calls["proposals"] < shared_calls["proposals"]
+    plain = thin_first_arrivals(_swinging, n, 0.5, 3.0, RngStream(seed), block=3)
+    assert plain.tobytes() == shared.tobytes()
 
 
 def test_thin_first_arrivals_requires_positive_floor():
@@ -541,6 +580,16 @@ def test_local_bound_argument_validation():
         thin_first_arrivals(rate_rows, 3, 1.0, 2.0, RngStream(0), slope=1.0, seam_radii=ones, anchors_out=np.empty(3))
     with pytest.raises(ValueError):
         thin_first_arrivals(rate_rows, 3, 1.0, 2.0, RngStream(0), slope=-1.0, seam_radii=ones)
+    # per-ray slopes: one per ray, each finite and >= 0, like a per-ray ceiling
+    with pytest.raises(ValueError, match="shape"):
+        thin_first_arrivals(rate_rows, 3, 1.0, 2.0, RngStream(0), slope=np.ones(4), seam_radii=ones)
+    with pytest.raises(ValueError, match="shape"):
+        thin_first_arrivals(rate_rows, 3, 1.0, 2.0, RngStream(0), slope=np.ones((3, 1)), seam_radii=ones)
+    for bad in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            thin_first_arrivals(rate_rows, 3, 1.0, 2.0, RngStream(0), slope=np.array([1.0, bad, 1.0]), seam_radii=ones)
+    with pytest.raises(ValueError):
+        thin_first_arrivals(rate_rows, 3, 1.0, 2.0, RngStream(0), slope=np.ones(3))
     # the per-row callbacks are asked only for rows whose first level lies
     # above the floor: at half the ceiling, some of 64 rows always have one
     n = 64

@@ -15,10 +15,13 @@ and config and runs its own chain runner from the same start points, drawn
 once beforehand.
 
 For each config it prints both medians, the ratio of the change's median
-to the baseline's, the pairs in which the change was faster, and whether
-every run of both sides ended at the same bytes (endpoint thetas and
-velocities). A change that must keep every draw prints ``same`` on every
-line. Not part of Tier-1; the default 12 pairs take a few minutes.
+to the baseline's, the pairs in which the change was faster, each side's
+gradient points (the rows its gradient fields evaluated, counted in the
+untimed run; they are the same on every run), and whether every run of
+both sides ended at the same bytes (endpoint thetas and velocities). A
+change that must keep every draw prints ``same`` on every line, and its
+gradient points show what it evaluates. Not part of Tier-1; the default 12
+pairs take a few minutes.
 """
 
 from __future__ import annotations
@@ -109,6 +112,13 @@ def _linreg(pkg, starts):
     return pkg.run_poisson_sgd_ensemble(obj, cfg, 30, rng=pkg.RngStream(5))
 
 
+def _coupling(pkg, starts):
+    """The coupling experiment's optimizer: double_well_1d at beta 0.05 and
+    epsilon 0.25, 500 chains from uniform starts."""
+    cfg = pkg.PoissonSgdConfig(beta=0.05, epsilon=0.25, n_steps=200)
+    return pkg.run_poisson_sgd_ensemble(pkg.double_well_1d(), cfg, 500, rng=pkg.RngStream(8))
+
+
 def _criterion5(pkg, starts):
     """Criterion 5's optimizer: N = 512 at epsilon 1e-3, started from the oracle."""
     cfg = pkg.PoissonSgdConfig(beta=0.003, epsilon=1e-3, n_steps=1000)
@@ -127,11 +137,34 @@ CONFIGS = {
     "bps": (_oracle_starts(1.0, 5000), _bps),
     "linreg": (_no_starts, _linreg),
     "criterion5": (_oracle_starts(1e-3, 512), _criterion5),
+    "coupling": (_no_starts, _coupling),
 }
 
 
 def _digest(result) -> str:
     return hashlib.sha256(result.thetas.tobytes() + result.velocities.tobytes()).hexdigest()
+
+
+def _counted(run, pkg, starts):
+    """The result of one untimed run and the gradient points it evaluated."""
+    build = pkg.Objective.grad_field
+    points = [0]
+
+    def grad_field(self, batch=None):
+        field = build(self, batch)
+
+        def counted(x, rows=None):
+            points[0] += x.size // self.domain.dim
+            return field(x, rows=rows)
+
+        return counted
+
+    pkg.Objective.grad_field = grad_field
+    try:
+        result = run(pkg, starts)
+    finally:
+        pkg.Objective.grad_field = build
+    return _digest(result), points[0]
 
 
 def _timed(run, pkg, starts):
@@ -153,14 +186,18 @@ def main(argv=None) -> int:
         base = load_revision(args.rev, Path(tmp))
         change = load_checkout()
         print(f"baseline {args.rev}, change {ROOT / 'src'}, {args.pairs} pairs, alternating order")
-        print(f"{'config':<12} {'base_ms':>9} {'change_ms':>9} {'ratio':>6} {'won':>7}  bytes")
+        print(
+            f"{'config':<12} {'base_ms':>9} {'change_ms':>9} {'ratio':>6} {'won':>7} "
+            f"{'base_pts':>10} {'change_pts':>10}  bytes"
+        )
         for name in args.config or CONFIGS:
             # start points are drawn once, by the checkout, and shared
             make_starts, run = CONFIGS[name]
             starts = make_starts(change)
             sides = [("base", base), ("change", change)]
             times = {"base": [], "change": []}
-            digests = {_timed(run, pkg, starts)[1] for _, pkg in sides}  # untimed warm-up
+            warm = {side: _counted(run, pkg, starts) for side, pkg in sides}  # untimed
+            digests = {digest for digest, _ in warm.values()}
             for pair in range(args.pairs):
                 for side, pkg in sides if pair % 2 == 0 else sides[::-1]:
                     elapsed, digest = _timed(run, pkg, starts)
@@ -169,7 +206,11 @@ def main(argv=None) -> int:
             won = sum(c < b for b, c in zip(times["base"], times["change"]))
             b, c = statistics.median(times["base"]), statistics.median(times["change"])
             same = "same" if len(digests) == 1 else "DIFFER"
-            print(f"{name:<12} {1e3 * b:9.1f} {1e3 * c:9.1f} {c / b:6.3f} {won:>3}/{args.pairs:<3}  {same}", flush=True)
+            print(
+                f"{name:<12} {1e3 * b:9.1f} {1e3 * c:9.1f} {c / b:6.3f} {won:>3}/{args.pairs:<3} "
+                f"{warm['base'][1]:>10} {warm['change'][1]:>10}  {same}",
+                flush=True,
+            )
     return 0
 
 
