@@ -41,7 +41,8 @@ import numpy as np
 from . import __version__
 from .bps import BpsConfig, coupled_compare, run_bps, run_bps_ensemble
 from .metrics import histogram_tv, ks_statistic, sliced_wasserstein1
-from .objectives import LinearRegressionObjective, Objective, build_objective, linreg_synthetic
+from .domain import TorusDomain
+from .objectives import LinearRegressionObjective, Objective, _linreg_draw, build_objective
 from .optimizer import PoissonSgdConfig, _sample_batches, run_poisson_sgd, run_poisson_sgd_ensemble
 from .records import canonical_json
 from .sampler import RngStream, uniform_sphere
@@ -659,29 +660,26 @@ def make_linreg_with_holdout(
 ) -> tuple[LinearRegressionObjective, np.ndarray, np.ndarray]:
     """Train objective on n samples plus a held-out test block from the same
     generator (one draw of n + n_test rows, split deterministically)."""
-    full = linreg_synthetic(int(n) + int(n_test), d, noise, seed, side)
-    train = LinearRegressionObjective(full.features[:n], full.targets[:n], full.domain)
-    return train, full.features[n:], full.targets[n:]
+    X, y = _linreg_draw(int(n) + int(n_test), d, noise, seed, side)
+    train = LinearRegressionObjective(X[:n], y[:n], TorusDomain(int(d), side))
+    return train, X[n:], y[n:]
 
 
 def _generalization_datasets(params: dict, seed: int, n: int, trials: int):
     """Every trial's train set at size ``n``, stacked one per chain, and the
-    sufficient statistics (X'X, X'y, y'y) of each trial's held-out block."""
+    sufficient statistics (X'X, X'y, y'y) of each trial's held-out block.
+    Each trial's rows are those of ``make_linreg_with_holdout``, drawn
+    without building a per-trial objective."""
+    d, side = int(params["d"]), float(params["side"])
     features, targets, stats = [], [], []
     for trial in range(trials):
-        train, X_test, y_test = make_linreg_with_holdout(
-            n,
-            int(params["n_test"]),
-            int(params["d"]),
-            float(params["noise"]),
-            seed * 1000003 + trial,
-            float(params["side"]),
-        )
+        X, y = _linreg_draw(n + int(params["n_test"]), d, float(params["noise"]), seed * 1000003 + trial, side)
         # copies, so that no trial's full draw stays alive
-        features.append(train.features.copy())
-        targets.append(train.targets.copy())
+        features.append(X[:n].copy())
+        targets.append(y[:n].copy())
+        X_test, y_test = X[n:], y[n:]
         stats.append((X_test.T @ X_test, X_test.T @ y_test, y_test @ y_test))
-    stacked = LinearRegressionObjective(np.stack(features), np.stack(targets), train.domain)
+    stacked = LinearRegressionObjective(np.stack(features), np.stack(targets), TorusDomain(d, side))
     gram, cross, sq = (np.stack(stat) for stat in zip(*stats))
     return stacked, gram, cross, sq
 

@@ -556,6 +556,12 @@ def linreg_synthetic(
 ) -> LinearRegressionObjective:
     """Synthetic least squares: Gaussian design, true weights inside the box,
     Gaussian target noise. Same (n, d, noise, seed, side) -> same bytes."""
+    X, y = _linreg_draw(n, d, noise, seed, side)
+    return LinearRegressionObjective(X, y, TorusDomain(int(d), side))
+
+
+def _linreg_draw(n: int, d: int, noise: float, seed: int, side: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (X, y) of ``linreg_synthetic``, without building its objective."""
     if noise < 0:
         raise ValueError("noise must be >= 0")
     rng = RngStream(int(seed), spawn_key=(104729,))  # fixed lineage for datasets
@@ -563,7 +569,7 @@ def linreg_synthetic(
     X = gen.standard_normal((int(n), int(d)))
     theta_true = side * (0.25 + 0.5 * gen.random(int(d)))
     y = X @ theta_true + (noise * gen.standard_normal(int(n)) if noise > 0 else 0.0)
-    return LinearRegressionObjective(X, y, TorusDomain(int(d), side))
+    return X, y
 
 
 BUILTIN_OBJECTIVES: dict[str, Callable[..., Objective]] = {

@@ -15,11 +15,24 @@ both the rejection sampler and the total-variation comparisons rely on.
 Grids and oracle blocks are evaluated a bounded chunk of points at a time
 (``_CHUNK_ELEMENTS`` over the larger of the objective's sample count and its
 dimension), so no temporary grows with the grid or with the dataset. The
-grid and the oracle's blocks still land in one full-size array, and the
-sums, maxima and means reduce that array, so they match a single whole-grid
-evaluation bit for bit. The 2x convergence check keeps no array at all: it
-reduces chunk by chunk, to the same maximum and to a sum of per-chunk sums,
-which only the convergence test reads.
+grid still lands in one full-size array, and the sums, maxima and means
+reduce that array, so they match a single whole-grid evaluation bit for bit.
+The 2x convergence check keeps no array at all: it reduces chunk by chunk,
+to the same maximum and to a sum of per-chunk sums, which only the
+convergence test reads.
+
+The oracle squeezes its proposals between bounds on u over their grid cell
+(Marsaglia 1977). L is M-Lipschitz for the declared gradient bound M, and
+the prefactor lies between the floor and the floor plus E[(cos)_+] beta M,
+so within a cell of half-diagonal r around a midpoint value u_c,
+
+    u_c e^{-beta M r} / rho  <=  u  <=  u_c rho e^{beta M r},
+    rho = (floor + E[(cos)_+] beta M) / floor.
+
+A level the bounds decide needs no evaluation of u; only the rest are
+evaluated, and each of those is checked against its cell's bounds. Every
+gradient ``unnormalized`` computes is checked against M, so the grid audits
+M densely before the oracle leans on it.
 """
 
 from __future__ import annotations
@@ -30,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .objectives import Objective
+from .objectives import GradientBoundError, Objective
 from .sampler import as_generator
 
 __all__ = [
@@ -50,6 +63,10 @@ DEFAULT_RESOLUTIONS = {1: 4096, 2: 256, 3: 64}
 # max(n_samples, dim) points, so linreg's (points, n_samples) residuals stay
 # as small as the points themselves: about 0.5 MB per temporary.
 _CHUNK_ELEMENTS = 1 << 16
+
+# Relative widening of the oracle's cell bounds: it covers the rounding of u
+# at the proposal and of u_c read back from the normalized masses.
+_SQUEEZE_RTOL = 1e-9
 
 
 def _chunk_points(objective: Objective) -> int:
@@ -237,7 +254,9 @@ class StationaryDensity:
         """u(theta); strictly positive, shaped like theta without its last axis."""
         theta = np.asarray(theta, dtype=float)
         loss = np.asarray(self.objective.empirical_risk(theta), dtype=float)
-        grad_norm = np.linalg.norm(self.objective.grad(theta), axis=-1)
+        grad = self.objective.grad(theta)
+        self.objective.check_grad_norms(grad)  # the oracle's cell bounds rest on M
+        grad_norm = np.linalg.norm(grad, axis=-1)
         return (self.floor + self.grad_coefficient * grad_norm) * np.exp(-self.beta * loss)
 
     def _resolution(self, resolution: int | None) -> int:
@@ -282,33 +301,70 @@ class StationaryDensity:
         """n exact draws by rejection from the uniform proposal.
 
         The envelope is 1.1x the density's max over the normalization grid
-        at ``resolution``; any proposal where u exceeds the envelope aborts
-        the run rather than silently biasing the output. Each block draws
-        all its proposals, then all its levels, whatever the chunking.
+        at ``resolution``. Each block draws all its proposals, then their
+        levels a chunk at a time, so the stream does not depend on the
+        chunking or on which levels the cell bounds decide. A level at or
+        above its cell's upper bound is rejected; one below the lower bound
+        is accepted where the upper bound lies within the envelope. Only the
+        rest are evaluated, so every u that could exceed the envelope is
+        evaluated: one that does raises ``EnvelopeError``, and one outside
+        its cell's bounds raises ``GradientBoundError``, rather than biasing
+        the output. The draws are those of comparing every level with u.
         """
         gen = as_generator(rng)
         n = int(n)
         if n < 1:
             raise ValueError("n must be >= 1")
         key = self._resolution(resolution)
-        self.grid(key)
+        grid = self.grid(key)
         envelope = 1.1 * self._grid_cache[key][1]
         domain = self.objective.domain
         chunk = _chunk_points(self.objective)
+        # u_c = mass * z / cell volume at each proposal's cell; the bounds
+        # scale it by (1 +- _SQUEEZE_RTOL) rho e^{+-beta M r}
+        spacing = domain.sides / key
+        masses = grid.masses.ravel()
+        to_u = grid.z / float(np.prod(spacing))
+        bound = self.objective.grad_norm_bound
+        spread = self.beta * bound * 0.5 * float(np.linalg.norm(spacing))  # beta M r
+        rho = (self.floor + self.grad_coefficient * bound) / self.floor
+        up = to_u * rho * (math.exp(spread) if spread < 700.0 else math.inf) * (1.0 + _SQUEEZE_RTOL)
+        down = to_u * math.exp(-spread) / rho * (1.0 - _SQUEEZE_RTOL)
         out = np.empty((n, domain.dim))
         got = 0
         block = max(4096, 2 * n)
         while got < n:
             props = domain.sample_uniform(gen, block)
-            u = _evaluate_in_chunks(self.unnormalized, lambda a, b: props[a:b], block, chunk)
-            if np.any(u > envelope):
-                raise EnvelopeError(
-                    f"density value {float(u.max()):.6g} exceeds envelope "
-                    f"{envelope:.6g}; grid max was not a supremum"
-                )
             for start in range(0, block, chunk):
                 stop = min(start + chunk, block)
-                keep = props[start:stop][gen.random(stop - start) * envelope < u[start:stop]]
+                x = props[start:stop]
+                levels = gen.random(stop - start) * envelope
+                cells = np.zeros(stop - start, dtype=np.intp)  # flat C-order cell index
+                for axis in range(domain.dim):  # 1-d columns: 2-d casts are ~10x dearer
+                    cells *= key
+                    cells += np.minimum(x[:, axis] / spacing[axis], key - 1).astype(np.intp)
+                mass = masses.take(cells)
+                upper, lower = mass * up, mass * down
+                accept = (levels < lower) & (upper <= envelope)
+                rows = np.flatnonzero(~accept & (levels < upper))
+                if rows.size:
+                    u = self.unnormalized(x.take(rows, axis=0))
+                    if np.any(u > envelope):
+                        raise EnvelopeError(
+                            f"density value {float(u.max()):.6g} exceeds envelope "
+                            f"{envelope:.6g}; grid max was not a supremum"
+                        )
+                    inside = (lower[rows] <= u) & (u <= upper[rows])  # False for NaN too
+                    if not inside.all():
+                        i = int(inside.argmin())
+                        raise GradientBoundError(
+                            f"{self.objective.name}: density value {float(u[i]):.6g} lies outside "
+                            f"its grid cell's bounds [{float(lower[rows][i]):.6g}, "
+                            f"{float(upper[rows][i]):.6g}], which assume the risk is "
+                            f"{bound:.6g}-Lipschitz"
+                        )
+                    accept[rows] = levels[rows] < u
+                keep = x.compress(accept, axis=0)
                 take = min(keep.shape[0], n - got)
                 out[got : got + take] = keep[:take]
                 got += take

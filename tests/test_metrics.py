@@ -31,6 +31,27 @@ def test_w1_matches_scipy_unequal_sizes():
         assert abs(ours - ref) < 1e-12
 
 
+def _w1_on_union1d(xs, ys):
+    """The unequal-size formula as first written: np.union1d's grid."""
+    xs, ys = np.sort(xs), np.sort(ys)
+    grid = np.union1d(np.arange(1, xs.size) / xs.size, np.arange(1, ys.size) / ys.size)
+    edges = np.concatenate([[0.0], grid, [1.0]])
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    xq = xs[np.minimum((mids * xs.size).astype(int), xs.size - 1)]
+    yq = ys[np.minimum((mids * ys.size).astype(int), ys.size - 1)]
+    return float(np.sum(np.diff(edges) * np.abs(xq - yq)))
+
+
+def test_w1_unequal_sizes_match_the_union1d_formula_bit_for_bit():
+    # shared breakpoints (4096 and 6144 share every third of 1/2048) and
+    # sizes an order of magnitude apart, either side the larger
+    rng = np.random.default_rng(5)
+    for nx, ny in [(5000, 100000), (7, 13), (512, 200000), (4096, 6144), (1, 2), (30, 6)]:
+        xs = rng.normal(size=nx)
+        ys = rng.normal(loc=0.2, scale=1.3, size=ny)
+        assert wasserstein1_1d(xs, ys) == _w1_on_union1d(xs, ys)
+
+
 def test_sliced_w1_reduces_to_plain_in_1d():
     rng = np.random.default_rng(3)
     xs = rng.normal(size=(50, 1))

@@ -7,7 +7,15 @@ from scipy import integrate
 
 from poisson_sgd.metrics import histogram_tv
 from poisson_sgd import stationary
-from poisson_sgd.objectives import double_well_1d, double_well_2d, linreg_synthetic, quadratic_bowl
+from poisson_sgd.domain import TorusDomain
+from poisson_sgd.objectives import (
+    GradientBoundError,
+    Objective,
+    double_well_1d,
+    double_well_2d,
+    linreg_synthetic,
+    quadratic_bowl,
+)
 from poisson_sgd.sampler import RngStream
 from poisson_sgd.stationary import (
     DEFAULT_RESOLUTIONS,
@@ -196,6 +204,63 @@ def test_rejection_sampler_envelope_guard():
         sd.sample(1000, RngStream(3))
 
 
+def test_rejection_sampler_envelope_guard_where_the_bounds_decide_everything():
+    # at beta = 0 every level lies below every cell's lower bound; the
+    # proposals are evaluated, and expose the halved envelope, only because
+    # a sure acceptance needs its cell's upper bound within the envelope
+    sd = StationaryDensity(double_well_1d(), beta=0.0, epsilon=0.5)
+    grid = sd.grid(4096)
+    sd._grid_cache[4096] = (grid, 0.5 * sd._grid_cache[4096][1])
+    with pytest.raises(EnvelopeError):
+        sd.sample(1000, RngStream(3))
+
+
+def test_oracle_refuses_a_halved_gradient_bound():
+    # the cell bounds rest on M, so the density checks every gradient it
+    # computes against M, and the grid exposes the false bound before any draw
+    obj = double_well_1d()
+    obj.grad_norm_bound = 0.5 * obj.grad_norm_bound
+    with pytest.raises(GradientBoundError, match="gradient norm"):
+        StationaryDensity(obj, beta=0.003, epsilon=1.0).sample(1000, RngStream(3))
+
+
+def test_oracle_checks_evaluated_densities_against_their_cell_bounds():
+    # a grid whose z is twice the density's puts every u below its cell's
+    # lower bound: the first evaluated proposal raises instead of biasing
+    sd = StationaryDensity(double_well_1d(), beta=0.003, epsilon=1.0)
+    grid = sd.grid(4096)
+    peak = sd._grid_cache[4096][1]
+    sd._grid_cache[4096] = (GridDensity(grid.edges, grid.masses, z=2.0 * grid.z), peak)
+    with pytest.raises(GradientBoundError, match="bounds"):
+        sd.sample(1000, RngStream(3))
+
+
+def test_oracle_evaluates_at_most_a_quarter_of_its_proposals(monkeypatch):
+    # the stationarity protocol's oracle: the cell bounds decide over three
+    # quarters of its uniform proposals without evaluating u
+    sd = StationaryDensity(double_well_1d(), beta=0.003, epsilon=1.0)
+    sd.grid()
+    counts = {"proposals": 0, "evaluated": 0}
+    draw = TorusDomain.sample_uniform
+
+    def proposals(domain, gen, size=None):
+        out = draw(domain, gen, size)
+        counts["proposals"] += len(out)
+        return out
+
+    unnormalized = sd.unnormalized
+
+    def evaluated(theta):
+        counts["evaluated"] += len(theta)
+        return unnormalized(theta)
+
+    monkeypatch.setattr(TorusDomain, "sample_uniform", proposals)
+    monkeypatch.setattr(sd, "unnormalized", evaluated)
+    assert sd.sample(100_000, RngStream(5)).shape == (100_000, 1)
+    assert counts["proposals"] >= 100_000
+    assert counts["evaluated"] <= counts["proposals"] / 4
+
+
 def test_grid_mean_risk_closed_form():
     # bowl risk |theta - 5|^2 / 2 on a length-10 circle: uniform mean is 25/6
     obj = quadratic_bowl([[5.0]], side_lengths=10.0)
@@ -261,6 +326,10 @@ CHUNKED_CASES = {
     "double_well_2d": (double_well_2d, 0.003, 0.5),
     "linreg": (lambda: linreg_synthetic(64, 2, 0.5, 0), 1.0, 0.05),
     "3-d bowl": (lambda: quadratic_bowl([[5, 5, 5]], side_lengths=10), 0.03, 1.0),
+    # the oracle's cell bounds decide every proposal of a flat density
+    "beta 0": (double_well_1d, 0.0, 1.0),
+    # criterion 5's density, nearly flat at its floor
+    "criterion 5": (double_well_1d, 0.003, 1e-3),
 }
 
 
@@ -271,7 +340,8 @@ def test_chunked_evaluation_matches_one_call(case, monkeypatch):
     resolution = stationary.DEFAULT_RESOLUTIONS[objective.domain.dim]
     # a prime element budget: chunks end mid-row on every grid, and mid-block
     # in the oracle's 6000-proposal block
-    monkeypatch.setattr(stationary, "_CHUNK_ELEMENTS", 9973)
+    one_point = objective.n_samples * objective.domain.dim == 1
+    monkeypatch.setattr(stationary, "_CHUNK_ELEMENTS", 1999 if one_point else 9973)
     chunk = stationary._chunk_points(objective)
     assert chunk % 128 and chunk % resolution and chunk < 6000 and 6000 % chunk
     sd = StationaryDensity(objective, beta, eps)
@@ -293,4 +363,34 @@ def test_chunked_evaluation_matches_one_call(case, monkeypatch):
     want_gen, got_gen = RngStream(5).generator, RngStream(5).generator
     want = _one_call_sample(sd, 3000, want_gen, 1.1 * peak)
     assert np.array_equal(sd.sample(3000, got_gen), want)
+    assert got_gen.bit_generator.state == want_gen.bit_generator.state
+
+
+class _KinkedRamp(Objective):
+    """L = 16 - max(theta, kink) on a length-16 circle: flat left of the kink
+    and falling with slope M = 1 right of it. In the cell centred on the kink
+    u climbs from its midpoint value to u_c rho e^{beta M r} at the cell's
+    right edge, so the oracle's upper bound is reached there."""
+
+    def __init__(self, kink: float):
+        super().__init__(TorusDomain(1, 16.0), 1, 1.0, "kinked_ramp")
+        self.kink = kink
+
+    def _mean_loss(self, theta, indices):
+        return 16.0 - np.maximum(theta[..., 0], self.kink)
+
+    def _mean_grad(self, theta, indices):
+        return -(theta > self.kink).astype(float)
+
+
+def test_oracle_keeps_every_draw_where_its_bounds_are_tight():
+    # at resolution 64 the kink is the midpoint of cell 62, near the density's
+    # peak. Bounds that dropped rho or half the spread decide some of the
+    # cell's proposals wrongly or raise, on 10 of 10 seeds already
+    # at half these draws
+    sd = StationaryDensity(_KinkedRamp(62.5 * 16 / 64), beta=0.1, epsilon=0.1)
+    sd.grid(64)
+    want_gen, got_gen = RngStream(5).generator, RngStream(5).generator
+    want = _one_call_sample(sd, 100_000, want_gen, 1.1 * sd._grid_cache[64][1])
+    assert np.array_equal(sd.sample(100_000, got_gen, resolution=64), want)
     assert got_gen.bit_generator.state == want_gen.bit_generator.state

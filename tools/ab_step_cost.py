@@ -14,11 +14,16 @@ side goes first. Only the run is timed: each side builds its own objective
 and config and runs its own chain runner from the same start points, drawn
 once beforehand.
 
+The ``oracle`` configs time ``StationaryDensity.sample`` alone: each side
+normalizes its density once, untimed, and every run draws from the same
+stream.
+
 For each config it prints both medians, the ratio of the change's median
 to the baseline's, the pairs in which the change was faster, each side's
-gradient points (the rows its gradient fields evaluated, counted in the
-untimed run; they are the same on every run), and whether every run of
-both sides ended at the same bytes (endpoint thetas and velocities). A
+gradient points (the rows its gradient fields evaluated, or for an oracle
+the points it evaluated the density at, counted in the untimed run; they
+are the same on every run), and whether every run of both sides ended at
+the same bytes (endpoint thetas and velocities, or the oracle's draws). A
 change that must keep every draw prints ``same`` on every line, and its
 gradient points show what it evaluates. Not part of Tier-1; the default 12
 pairs take a few minutes.
@@ -125,6 +130,20 @@ def _criterion5(pkg, starts):
     return pkg.run_poisson_sgd_ensemble(pkg.double_well_1d(), cfg, 512, rng=pkg.RngStream(6), initial_points=starts)
 
 
+def _oracle(make, beta, epsilon, n):
+    """``n`` draws of the closed-form oracle on ``make(pkg)``; each side
+    normalizes its density once, untimed, so runs time ``sample`` alone."""
+    densities = {}
+
+    def run(pkg, starts):
+        if pkg not in densities:
+            densities[pkg] = pkg.StationaryDensity(make(pkg), beta=beta, epsilon=epsilon)
+            densities[pkg].grid()
+        return densities[pkg].sample(n, pkg.RngStream(9))
+
+    return run
+
+
 def _no_starts(pkg):
     return None
 
@@ -138,17 +157,31 @@ CONFIGS = {
     "linreg": (_no_starts, _linreg),
     "criterion5": (_oracle_starts(1e-3, 512), _criterion5),
     "coupling": (_no_starts, _coupling),
+    # stationarity-bps-1d's 100000-draw oracle, and one on a 64-sample dataset
+    "oracle": (_no_starts, _oracle(lambda pkg: pkg.double_well_1d(), 0.003, 1.0, 100_000)),
+    "oracle_linreg": (_no_starts, _oracle(lambda pkg: pkg.linreg_synthetic(64, 2, 0.5, 0), 1.0, 0.05, 20_000)),
 }
 
 
 def _digest(result) -> str:
-    return hashlib.sha256(result.thetas.tobytes() + result.velocities.tobytes()).hexdigest()
+    """Endpoint thetas and velocities of a chain result, or an oracle's draws."""
+    if hasattr(result, "thetas"):
+        return hashlib.sha256(result.thetas.tobytes() + result.velocities.tobytes()).hexdigest()
+    return hashlib.sha256(result.tobytes()).hexdigest()
 
 
 def _counted(run, pkg, starts):
-    """The result of one untimed run and the gradient points it evaluated."""
+    """The result of one untimed run and the points it evaluated: gradient
+    points of its gradient fields, and density points of the oracle's
+    ``unnormalized`` (a density's grid is built before it is counted)."""
     build = pkg.Objective.grad_field
+    density = pkg.StationaryDensity.unnormalized
     points = [0]
+
+    def unnormalized(self, theta):
+        if self._grid_cache:
+            points[0] += theta.size // self.objective.domain.dim
+        return density(self, theta)
 
     def grad_field(self, batch=None):
         field = build(self, batch)
@@ -160,10 +193,12 @@ def _counted(run, pkg, starts):
         return counted
 
     pkg.Objective.grad_field = grad_field
+    pkg.StationaryDensity.unnormalized = unnormalized
     try:
         result = run(pkg, starts)
     finally:
         pkg.Objective.grad_field = build
+        pkg.StationaryDensity.unnormalized = density
     return _digest(result), points[0]
 
 
@@ -187,7 +222,7 @@ def main(argv=None) -> int:
         change = load_checkout()
         print(f"baseline {args.rev}, change {ROOT / 'src'}, {args.pairs} pairs, alternating order")
         print(
-            f"{'config':<12} {'base_ms':>9} {'change_ms':>9} {'ratio':>6} {'won':>7} "
+            f"{'config':<14} {'base_ms':>9} {'change_ms':>9} {'ratio':>6} {'won':>7} "
             f"{'base_pts':>10} {'change_pts':>10}  bytes"
         )
         for name in args.config or CONFIGS:
@@ -207,7 +242,7 @@ def main(argv=None) -> int:
             b, c = statistics.median(times["base"]), statistics.median(times["change"])
             same = "same" if len(digests) == 1 else "DIFFER"
             print(
-                f"{name:<12} {1e3 * b:9.1f} {1e3 * c:9.1f} {c / b:6.3f} {won:>3}/{args.pairs:<3} "
+                f"{name:<14} {1e3 * b:9.1f} {1e3 * c:9.1f} {c / b:6.3f} {won:>3}/{args.pairs:<3} "
                 f"{warm['base'][1]:>10} {warm['change'][1]:>10}  {same}",
                 flush=True,
             )
