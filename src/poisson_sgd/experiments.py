@@ -655,21 +655,12 @@ def _generalization_defaults() -> dict:
     }
 
 
-def make_linreg_with_holdout(
-    n: int, n_test: int, d: int, noise: float, seed: int, side: float = 6.0
-) -> tuple[LinearRegressionObjective, np.ndarray, np.ndarray]:
-    """Train objective on n samples plus a held-out test block from the same
-    generator (one draw of n + n_test rows, split deterministically)."""
-    X, y = _linreg_draw(int(n) + int(n_test), d, noise, seed, side)
-    train = LinearRegressionObjective(X[:n], y[:n], TorusDomain(int(d), side))
-    return train, X[n:], y[n:]
-
-
 def _generalization_datasets(params: dict, seed: int, n: int, trials: int):
     """Every trial's train set at size ``n``, stacked one per chain, and the
     sufficient statistics (X'X, X'y, y'y) of each trial's held-out block.
-    Each trial's rows are those of ``make_linreg_with_holdout``, drawn
-    without building a per-trial objective."""
+    Trial t's train and held-out rows are the first ``n`` and the last
+    ``n_test`` rows of one ``_linreg_draw`` of ``n + n_test`` rows, seeded
+    ``seed * 1000003 + t``."""
     d, side = int(params["d"]), float(params["side"])
     features, targets, stats = [], [], []
     for trial in range(trials):

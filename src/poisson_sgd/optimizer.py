@@ -28,13 +28,16 @@ constant they narrow to two-sided local bounds up to each ray's first seam,
 anchored at each ray's rate at r = 0, at any spread of ceiling over floor.
 With a full batch that anchor is free from the second step on, the rate
 the reflection gradient already gives; per-chain mini-batches pay one
-evaluated rate of each step's own batches for it. The loop computes every
-ray's seam and free anchor in one pass each per step, and thinning reads
-them only for rays whose first proposal the envelope leaves open. When the
-objective also bounds its curvature on boxes (``lipschitz_box``) and the
-pass pays (see ``_BOX_BOUND_MIN_SPREAD``), the same pass gives each ray
-its own slope, from the bound over its neighbourhood: the segment up to
-its first seam or ``_BOX_BOUND_REACH / floor``, which becomes its seam.
+evaluated rate of each step's own batches for it, which thinning
+evaluates into the loop's array. The loop computes every ray's seam, and
+with a full batch its anchor, once per step and hands them to thinning as
+arrays; thinning checks every anchor against its ray's envelope and reads
+seams and anchors only for rays whose first proposal the envelope leaves
+open. When the objective also bounds its curvature on boxes
+(``lipschitz_box``) and the pass pays (see ``_BOX_BOUND_MIN_SPREAD``), the
+same pass gives each ray its own slope, from the bound over its
+neighbourhood: the segment up to its first seam or ``_BOX_BOUND_REACH /
+floor``, which becomes its seam.
 The same gradients audit the declared bounds on every step: a chain whose
 step stayed in the box must not have moved its gradient (full batch) or
 its rate (per-chain batches) by more than the constant, or its ray's own
@@ -320,9 +323,8 @@ def _run_chains(
     # With a full batch the anchor is free: this step's reflection gradients
     # give the next step's, because both use the same field at the same
     # point. Per-chain batches change the field every step, so thinning
-    # evaluates each step's anchors, one rate of its own batches per ray.
-    # Thinning reads seams and free anchors only for the rows whose first
-    # proposal the envelope leaves open.
+    # evaluates each step's anchors into ``anchors``, one rate of its own
+    # batches per ray.
     lipschitz = objective.metadata.lipschitz_c1
     local_bounds = lipschitz is not None and cfg.beta > 0.0
     slope = cfg.beta * lipschitz if local_bounds else None
@@ -335,7 +337,7 @@ def _run_chains(
     ):
         box_bound = None
     reach = _BOX_BOUND_REACH / floor
-    anchors = None
+    anchors = np.empty(N) if local_bounds and per_chain_batches else None
     fld = objective.grad_field(None)
     # The audit of the declared constant, on every step that thins against
     # it, from gradients the step has anyway. With a full batch, from step 2
@@ -348,7 +350,6 @@ def _run_chains(
     # a block at a time (and at the last step), which keeps the audit's
     # cost per step to a subtraction and its memory to _AUDIT_ELEMENTS.
     if local_bounds:
-        rates_at_zero = np.empty(N) if per_chain_batches else None
         audit_limit = slope if per_chain_batches else lipschitz
         audit_tol = _RTOL * (ceiling if per_chain_batches else objective.grad_norm_bound) + 1e-12
         audit_every = max(1, _AUDIT_ELEMENTS // (N * d))
@@ -397,8 +398,7 @@ def _run_chains(
                 slope=slope,
                 anchor_rates=anchors,
                 evaluate_anchors=local_bounds and per_chain_batches,
-                seam_radii=seams.__getitem__ if local_bounds else None,
-                anchors_out=rates_at_zero if local_bounds else None,
+                seam_radii=seams if local_bounds else None,
             )
         eta_sum += float(etas.sum())
 
@@ -408,7 +408,7 @@ def _run_chains(
         objective.check_grad_norms(grads)
         if local_bounds and (per_chain_batches or previous is not None):
             if per_chain_batches:
-                change = _start_rates(grads, vels, cfg.beta, floor) - rates_at_zero
+                change = _start_rates(grads, vels, cfg.beta, floor) - anchors
             else:
                 change = grads - previous
             changes.append(change)
@@ -434,7 +434,7 @@ def _run_chains(
         max_dev = max(max_dev, float(np.abs(norms - 1.0).max()))
         vels = vels / norms[:, None]
         if local_bounds and not per_chain_batches:
-            anchors = _start_rates(grads, vels, cfg.beta, floor).__getitem__
+            anchors = _start_rates(grads, vels, cfg.beta, floor)
         if k in wanted:
             snapshots[k] = thetas.copy()
         if records and (k % cfg.record_stride == 0 or k == cfg.n_steps):

@@ -28,18 +28,18 @@ the ray crosses a seam, so a local bound holds only up to the ray's first
 seam crossing (``TorusDomain.first_seam_radii``, moved inward by a margin
 that floating-point rounding cannot cross); past it only the envelope
 decides. A row that draws again re-anchors at its last evaluated proposal.
-Each ray's first anchor is its rate at ``r = 0``. With a full batch the
-chain loop supplies it for free, from the gradient of the previous
-reflection, taken at the same point with the same field; with per-chain
-mini-batches the thinning evaluates it (``evaluate_anchors``), one rate of
-the step's own batches per ray. A ray whose first level lies below the
-floor arrives at its first proposal, so seams and free anchors are asked
-for only for the other rays. Every evaluated rate is checked against both
-local bounds, so a false ``L`` aborts the run (``RateBoundError``) once an
-evaluation exposes it, and against its own row's ceiling. The chain loop
-also audits ``L`` on every step against the gradients the step computes
-anyway (``optimizer._run_chains``), so a false ``L`` that only sure
-decisions met aborts too.
+Each ray's first anchor is its rate at ``r = 0``, and the caller passes
+every ray's seam and anchor as arrays (``optimizer._run_chains`` computes
+them once per step). With a full batch the anchor is free, the rate the
+previous reflection's gradient gives at the same point with the same
+field; with per-chain mini-batches the thinning evaluates it into the
+caller's array (``evaluate_anchors``), one rate of the step's own batches
+per ray. Every anchor is checked against its ray's envelope, and every
+evaluated rate against both local bounds, so a false ``L`` aborts the run
+(``RateBoundError``) once an evaluation exposes it, and against its own
+row's ceiling. The chain loop also audits ``L`` on every
+step against the gradients the step computes anyway, so a false ``L`` that
+only sure decisions met aborts too.
 
 A round costs a fixed number of array operations, whatever its number of
 rows, and small ensembles run several rounds per draw (a few rows miss
@@ -188,10 +188,9 @@ def thin_first_arrivals(
     max_proposals: int = 200_000_000,
     *,
     slope=None,
-    anchor_rates: Callable[[np.ndarray], np.ndarray] | None = None,
+    anchor_rates: np.ndarray | None = None,
     evaluate_anchors: bool = False,
-    seam_radii: Callable[[np.ndarray], np.ndarray] | None = None,
-    anchors_out: np.ndarray | None = None,
+    seam_radii: np.ndarray | None = None,
 ) -> np.ndarray:
     """Vectorized exact first arrivals of inhomogeneous exponential laws.
 
@@ -225,12 +224,12 @@ def thin_first_arrivals(
 
     The envelope alone decides every row whose first level lies below the
     floor: it arrives at its first proposal. All further work of the first
-    round, the local bounds included, covers only the other rows, so seams
-    and anchors are asked for only for rows with an open first proposal,
-    once each, and a first round in which no row has one costs its draws
-    and one comparison. Later rounds carry every row that draws again
-    through the same steps; a row whose first level there lies below the
-    floor is accepted at it surely, like any level below its lower bound.
+    round, the local bounds included, covers only the other rows, so a
+    first round in which no row has an open first proposal costs its draws,
+    the anchors' envelope check and one comparison. Later rounds carry
+    every row that draws again through the same steps; a row whose first
+    level there lies below the floor is accepted at it surely, like any
+    level below its lower bound.
 
     Args:
         rate_rows: callback mapping (radii (k, 1), rows (k,)) -> rates (k, 1),
@@ -249,19 +248,15 @@ def thin_first_arrivals(
             own slope may bound only the stretch below its own seam. None
             bounds every rate by the envelope alone. Equal per-ray slopes
             draw and evaluate exactly what the shared slope does.
-        anchor_rates: callback mapping rows (k,) -> their rates at radius 0
-            (k,), which anchor the rows' local bounds; each rate it returns
-            is checked against its row's envelope. None leaves rows
-            unanchored until they draw again.
-        evaluate_anchors: evaluate the rates at radius 0 through
-            ``rate_rows``, one per row, before drawing, and anchor on them
-            (instead of ``anchor_rates``).
-        seam_radii: callback mapping rows (k,) -> radii (k,) below which
-            their rates are ``slope``-Lipschitz (+inf when they never jump);
-            a row at or past its seam has no local bound. Required with
-            ``slope``.
-        anchors_out: with ``evaluate_anchors``, an (n,) array that receives
-            the evaluated rates at radius 0.
+        anchor_rates: (n,) rates at radius 0, which anchor the rows' local
+            bounds; each is checked against its row's envelope. None leaves
+            rows unanchored until they draw again.
+        evaluate_anchors: before drawing, fill ``anchor_rates`` with the
+            rates at radius 0, evaluated through ``rate_rows`` in one call
+            of n proposals, and anchor on them.
+        seam_radii: (n,) radii below which the rows' rates are
+            ``slope``-Lipschitz (+inf when they never jump); a row at or
+            past its seam has no local bound. Required with ``slope``.
 
     Returns:
         (n,) array of arrival radii.
@@ -291,10 +286,12 @@ def thin_first_arrivals(
             raise ValueError("anchor_rates, evaluate_anchors and seam_radii need a slope")
     elif not (math.isfinite(slope) and slope >= 0.0) or seam_radii is None:
         raise ValueError("slope must be finite and >= 0, with seam_radii")
-    if evaluate_anchors and anchor_rates is not None:
-        raise ValueError("pass anchor_rates or evaluate_anchors, not both")
-    if anchors_out is not None and not evaluate_anchors:
-        raise ValueError("anchors_out needs evaluate_anchors")
+    if evaluate_anchors and anchor_rates is None:
+        raise ValueError("evaluate_anchors fills anchor_rates, which must be given")
+    if slope is not None:
+        seam_radii = np.asarray(seam_radii, dtype=float)
+        if seam_radii.shape != (n,) or (anchor_rates is not None and np.shape(anchor_rates) != (n,)):
+            raise ValueError(f"seam_radii and anchor_rates must have shape ({n},)")
     if block is None:
         block = int(min(max(math.ceil(1.3 * mean_ceiling / floor) + 2, 4), 4096))
     gen = as_generator(rng)
@@ -307,11 +304,10 @@ def thin_first_arrivals(
     # the limits of the envelope check, once per call
     lower, upper = floor * (1.0 - _RTOL) - 1e-12, ceiling * (1.0 + _RTOL) + 1e-12
     if evaluate_anchors:
-        start_rates = _evaluate(rate_rows, np.zeros((n, 1)), np.arange(n))[:, 0]
-        _check_envelope(start_rates, floor, ceiling, lower, upper)
-        if anchors_out is not None:
-            anchors_out[...] = start_rates
-        anchor_rates = start_rates.__getitem__
+        anchor_rates[:] = _evaluate(rate_rows, np.zeros((n, 1)), np.arange(n))[:, 0]
+    if anchor_rates is not None:
+        anchor_rates = np.asarray(anchor_rates, dtype=float)
+        _check_envelope(anchor_rates, floor, ceiling, lower, upper)
     starts = np.arange(0, n * block, block)  # flat index of each row's first proposal
     active = np.arange(n)
     offsets = None  # radii the active rows have reached; None in the first round
@@ -336,7 +332,7 @@ def thin_first_arrivals(
         if offsets is None:
             # a level below the floor is accepted whatever the rate: a row
             # whose first level is arrives at its first radius, and only the
-            # other rows go on, so only they are asked for seams and anchors
+            # other rows go on
             eta[:] = gaps[:, 0]
             opened = (levels[:, 0] >= (floors[:, 0] if per_row else floors)).nonzero()[0]
             if not opened.size:
@@ -351,15 +347,13 @@ def thin_first_arrivals(
         if slope is not None:
             if bounds is None:
                 bounds = np.empty((rows.size, 4 if row_slopes else 3))
-                bounds[:, 0] = _per_row(seam_radii, rows, "seam_radii")
+                bounds[:, 0] = seam_radii.take(rows)
                 if row_slopes:
                     bounds[:, 3] = slope[rows]
                 if anchor_rates is None:
                     bounds[:, 1:3] = (-np.inf, np.inf)
                 else:
-                    q = _per_row(anchor_rates, rows, "anchor_rates")
-                    if not evaluate_anchors:
-                        _check_envelope(q, floor, ceiling, lower, upper, rows if per_row else None)
+                    q = anchor_rates.take(rows)
                     margin = tol[rows] if per_row else tol
                     np.subtract(q, margin, out=bounds[:, 1])
                     np.add(q, margin, out=bounds[:, 2])
@@ -444,13 +438,6 @@ def _check_envelope(values, floor, ceiling, lower, upper, rows=None) -> None:
             "gradient bound is false; aborting instead of drawing biased times"
         )
     raise RateBoundError(f"rate {float(values.min()):.6g} fell below floor {floor:.6g}: rate construction bug")
-
-
-def _per_row(values_of, rows: np.ndarray, name: str) -> np.ndarray:
-    values = np.asarray(values_of(rows), dtype=float)
-    if values.shape != rows.shape:
-        raise ValueError(f"{name} returned shape {values.shape}, expected {rows.shape}")
-    return values
 
 
 def _evaluate(rate_rows, radii: np.ndarray, rows: np.ndarray) -> np.ndarray:

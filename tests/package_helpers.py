@@ -1,8 +1,9 @@
 """Test-side helpers around package objects that nothing in ``poisson_sgd``
 needs: a central-difference gradient check, the reader of the NDJSON that
-``RunRecord.to_ndjson`` writes, a record's last point and the torus box's
-membership test. ``test_objectives``, ``test_records``, ``test_domain``,
-``test_optimizer`` and ``test_bps`` use them.
+``RunRecord.to_ndjson`` writes, a record's last point, the torus box's
+membership test and a least-squares dataset with a held-out block.
+``test_objectives``, ``test_records``, ``test_domain``, ``test_optimizer``,
+``test_bps`` and ``test_harness`` use them.
 """
 
 import json
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from poisson_sgd.domain import TorusDomain
+from poisson_sgd.objectives import LinearRegressionObjective, _linreg_draw
 from poisson_sgd.records import _SCHEMA, RunRecord
 
 
@@ -58,3 +61,13 @@ def box_contains(domain, points) -> np.ndarray:
     """Whether each point lies in the domain's box ``[0, s_i)``."""
     points = np.asarray(points, dtype=float)
     return np.all((points >= 0.0) & (points < domain.sides), axis=-1)
+
+
+def make_linreg_with_holdout(
+    n: int, n_test: int, d: int, noise: float, seed: int, side: float = 6.0
+) -> tuple[LinearRegressionObjective, np.ndarray, np.ndarray]:
+    """Train objective on n samples plus a held-out test block from the same
+    generator (one draw of n + n_test rows, split deterministically)."""
+    X, y = _linreg_draw(int(n) + int(n_test), d, noise, seed, side)
+    train = LinearRegressionObjective(X[:n], y[:n], TorusDomain(int(d), side))
+    return train, X[n:], y[n:]

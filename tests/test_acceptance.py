@@ -321,8 +321,8 @@ def test_criterion_03_learning_rate_law(criteria):
             ceiling,
             RngStream(710 + i),
             slope=slope,
-            anchor_rates=lambda rows, q=float(fn(np.zeros(1))[0]): np.full(rows.shape, q),
-            seam_radii=lambda rows, seam=seam: np.full(rows.shape, seam),
+            anchor_rates=np.full(n, fn(np.zeros(1))[0]),
+            seam_radii=np.full(n, seam),
         )
         plain = thin_first_arrivals(
             lambda radii, rows: counted(radii, rows, key="ceiling"),

@@ -13,10 +13,11 @@ from poisson_sgd.experiments import (
     _generalization_datasets,
     _geometric_checkpoints,
     analyze_experiment,
-    make_linreg_with_holdout,
     run_experiment,
 )
 from poisson_sgd.objectives import BUILTIN_OBJECTIVES, linreg_synthetic
+
+from package_helpers import make_linreg_with_holdout
 
 DW1 = {"name": "double_well_1d"}
 DW2 = {"name": "double_well_2d"}

@@ -74,12 +74,6 @@ def _along(rates):
     return lambda t: rates(np.asarray(t, dtype=float)[:, None], np.zeros(np.size(t), dtype=int))[:, 0]
 
 
-def _every_row(value):
-    """A per-row callback of ``thin_first_arrivals`` (``anchor_rates``,
-    ``seam_radii``) that gives every row ``value``."""
-    return lambda rows: np.full(rows.shape, float(value))
-
-
 def _counted(rate_rows):
     calls = {"rounds": 0, "proposals": 0}
 
@@ -177,6 +171,7 @@ def test_thin_first_arrivals_with_a_slope_draws_pinned_values():
     # is at its seam) leave some rows past theirs; the second call gives
     # every row its own ceiling and evaluates its anchors. Per-ray slopes
     # all equal to the shared one draw and evaluate exactly what it does
+    rows = np.arange(12)
     for slope in (1.1, np.full(12, 1.1)):
         rate_rows, calls = _counted(_wavy)
         draws = thin_first_arrivals(
@@ -187,8 +182,8 @@ def test_thin_first_arrivals_with_a_slope_draws_pinned_values():
             RngStream(52),
             block=2,
             slope=slope,
-            anchor_rates=lambda rows: _wavy(np.zeros((rows.size, 1)), rows)[:, 0],
-            seam_radii=lambda rows: 0.4 * (rows % 4) + 0.05 * rows,
+            anchor_rates=_wavy(np.zeros((12, 1)), rows)[:, 0],
+            seam_radii=0.4 * (rows % 4) + 0.05 * rows,
         )
         assert draws.tolist() == [
             0.5923216106314693,
@@ -215,8 +210,9 @@ def test_thin_first_arrivals_with_a_slope_draws_pinned_values():
             RngStream(53),
             block=2,
             slope=slope,
+            anchor_rates=np.empty(12),
             evaluate_anchors=True,
-            seam_radii=lambda rows: 0.5 * (rows % 3),
+            seam_radii=0.5 * (rows % 3),
         )
         assert draws.tolist() == [
             0.002021501822339843,
@@ -262,8 +258,8 @@ def test_smaller_per_ray_slopes_draw_the_same_and_evaluate_no_more(seed):
             RngStream(seed),
             block=3,
             slope=slope,
-            anchor_rates=anchors.__getitem__,
-            seam_radii=seams.__getitem__,
+            anchor_rates=anchors,
+            seam_radii=seams,
         )
         runs.append((draws, calls))
     (shared, shared_calls), (per_ray, per_ray_calls) = runs
@@ -404,8 +400,8 @@ def test_local_bound_matches_oracle(field, anchored):
         RngStream(41),
         block=block,
         slope=slope,
-        anchor_rates=_every_row(fn(np.zeros(1))[0]) if anchored else None,
-        seam_radii=_every_row(seam),
+        anchor_rates=np.full(n, fn(np.zeros(1))[0]) if anchored else None,
+        seam_radii=np.full(n, seam),
     )
     plain_rows, plain_calls = _counted(_radial(fn))
     plain = thin_first_arrivals(plain_rows, n, floor, ceiling, RngStream(41), block=block)
@@ -429,14 +425,14 @@ def test_evaluated_anchors_match_given_anchors_plus_one_rate_per_row(field):
         seen.append(radii.copy())
         return fn(radii)
 
-    local = dict(slope=slope, seam_radii=_every_row(seam))
+    local = dict(slope=slope, seam_radii=np.full(n, seam))
     anchors = np.empty(n)
     evaluated = thin_first_arrivals(
-        rate_rows, n, floor, ceiling, RngStream(43), evaluate_anchors=True, anchors_out=anchors, **local
+        rate_rows, n, floor, ceiling, RngStream(43), anchor_rates=anchors, evaluate_anchors=True, **local
     )
     assert np.array_equal(anchors, np.full(n, fn(np.zeros(1))[0]))
     given_rows, given = _counted(_radial(fn))
-    anchors = _every_row(fn(np.zeros(1))[0])
+    anchors = np.full(n, fn(np.zeros(1))[0])
     draws = thin_first_arrivals(given_rows, n, floor, ceiling, RngStream(43), anchor_rates=anchors, **local)
     assert evaluated.tobytes() == draws.tobytes()
     assert seen[0].shape == (n, 1) and not seen[0].any()
@@ -456,8 +452,8 @@ def test_local_bound_skips_most_evaluations_under_a_loose_ceiling():
         14.0,
         RngStream(48),
         slope=0.6,
-        anchor_rates=_every_row(0.8),
-        seam_radii=_every_row(np.inf),
+        anchor_rates=np.full(n, 0.8),
+        seam_radii=np.full(n, np.inf),
     )
     plain_rows, plain_calls = _counted(_radial(fn))
     assert np.array_equal(draws, thin_first_arrivals(plain_rows, n, 0.8, 14.0, RngStream(48)))
@@ -508,8 +504,8 @@ def test_local_bound_across_a_seam_matches_oracle(case):
         ceiling,
         RngStream(43),
         slope=beta * objective.metadata.lipschitz_c1,
-        anchor_rates=_every_row(_along(rates)(np.zeros(1))[0]),
-        seam_radii=_every_row(seam[0]),
+        anchor_rates=np.full(n, _along(rates)(np.zeros(1))[0]),
+        seam_radii=np.full(n, seam[0]),
     )
     plain_rows, plain_calls = _counted(rates)
     plain = thin_first_arrivals(plain_rows, n, floor, ceiling, RngStream(43))
@@ -533,8 +529,8 @@ def test_ignoring_an_upward_seam_raises():
             ceiling,
             RngStream(44),
             slope=0.4,
-            anchor_rates=_every_row(_along(rates)(np.zeros(1))[0]),
-            seam_radii=_every_row(np.inf),
+            anchor_rates=np.full(n, _along(rates)(np.zeros(1))[0]),
+            seam_radii=np.full(n, np.inf),
         )
 
 
@@ -550,34 +546,23 @@ def test_too_small_slope_raises():
             1.4,
             RngStream(45),
             slope=0.01,
-            anchor_rates=_every_row(0.8),
-            seam_radii=_every_row(np.inf),
+            anchor_rates=np.full(n, 0.8),
+            seam_radii=np.full(n, np.inf),
         )
 
 
 def test_local_bound_argument_validation():
     rate_rows = lambda radii, rows: np.ones_like(radii)  # noqa: E731
-    ones = _every_row(1.0)
+    ones = np.ones(3)
     with pytest.raises(ValueError):
         thin_first_arrivals(rate_rows, 3, 1.0, 2.0, RngStream(0), anchor_rates=ones)
     with pytest.raises(ValueError):
-        thin_first_arrivals(rate_rows, 3, 1.0, 2.0, RngStream(0), evaluate_anchors=True)
-    with pytest.raises(ValueError):
-        thin_first_arrivals(
-            rate_rows,
-            3,
-            1.0,
-            2.0,
-            RngStream(0),
-            slope=1.0,
-            anchor_rates=ones,
-            evaluate_anchors=True,
-            seam_radii=ones,
-        )
+        thin_first_arrivals(rate_rows, 3, 1.0, 2.0, RngStream(0), anchor_rates=ones, evaluate_anchors=True)
+    # evaluated anchors need an array to fill
+    with pytest.raises(ValueError, match="evaluate_anchors"):
+        thin_first_arrivals(rate_rows, 3, 1.0, 2.0, RngStream(0), slope=1.0, evaluate_anchors=True, seam_radii=ones)
     with pytest.raises(ValueError):
         thin_first_arrivals(rate_rows, 3, 1.0, 2.0, RngStream(0), slope=1.0)
-    with pytest.raises(ValueError, match="anchors_out"):
-        thin_first_arrivals(rate_rows, 3, 1.0, 2.0, RngStream(0), slope=1.0, seam_radii=ones, anchors_out=np.empty(3))
     with pytest.raises(ValueError):
         thin_first_arrivals(rate_rows, 3, 1.0, 2.0, RngStream(0), slope=-1.0, seam_radii=ones)
     # per-ray slopes: one per ray, each finite and >= 0, like a per-ray ceiling
@@ -590,22 +575,15 @@ def test_local_bound_argument_validation():
             thin_first_arrivals(rate_rows, 3, 1.0, 2.0, RngStream(0), slope=np.array([1.0, bad, 1.0]), seam_radii=ones)
     with pytest.raises(ValueError):
         thin_first_arrivals(rate_rows, 3, 1.0, 2.0, RngStream(0), slope=np.ones(3))
-    # the per-row callbacks are asked only for rows whose first level lies
-    # above the floor: at half the ceiling, some of 64 rows always have one
-    n = 64
-    with pytest.raises(ValueError, match="seam_radii"):
-        thin_first_arrivals(
-            rate_rows, n, 1.0, 2.0, RngStream(0), slope=1.0, seam_radii=lambda rows: np.ones(rows.size + 1)
-        )
-    with pytest.raises(ValueError, match="anchor_rates"):
-        thin_first_arrivals(
-            rate_rows, n, 1.0, 2.0, RngStream(0), slope=1.0, anchor_rates=lambda rows: np.ones(1), seam_radii=ones
-        )
+    # seams and anchors: one per ray
+    for wrong in (np.ones(4), np.ones(1)):
+        with pytest.raises(ValueError, match="seam_radii"):
+            thin_first_arrivals(rate_rows, 3, 1.0, 2.0, RngStream(0), slope=1.0, seam_radii=wrong)
+        with pytest.raises(ValueError, match="anchor_rates"):
+            thin_first_arrivals(rate_rows, 3, 1.0, 2.0, RngStream(0), slope=1.0, anchor_rates=wrong, seam_radii=ones)
     # an anchor rate outside the envelope is refused like any evaluated rate
     with pytest.raises(RateBoundError):
-        thin_first_arrivals(
-            rate_rows, n, 1.0, 2.0, RngStream(0), slope=1.0, anchor_rates=_every_row(5.0), seam_radii=ones
-        )
+        thin_first_arrivals(rate_rows, 3, 1.0, 2.0, RngStream(0), slope=1.0, anchor_rates=np.full(3, 5.0), seam_radii=ones)
     with pytest.raises(RateBoundError):
         thin_first_arrivals(
             lambda radii, rows: np.full_like(radii, 5.0),
@@ -614,8 +592,26 @@ def test_local_bound_argument_validation():
             2.0,
             RngStream(0),
             slope=1.0,
+            anchor_rates=np.empty(3),
             evaluate_anchors=True,
             seam_radii=ones,
+        )
+
+
+def test_anchors_above_their_ceiling_raise_where_the_envelope_decides_every_row():
+    # at floor = ceiling every first level lies below the floor, so no row
+    # ever reads its anchor; a false anchor is refused all the same
+    n = 8
+    with pytest.raises(RateBoundError, match="exceeds ceiling"):
+        thin_first_arrivals(
+            lambda radii, rows: np.ones_like(radii),
+            n,
+            1.0,
+            1.0,
+            RngStream(0),
+            slope=1.0,
+            anchor_rates=np.full(n, 5.0),
+            seam_radii=np.ones(n),
         )
 
 
@@ -631,8 +627,8 @@ def test_rows_at_their_seam_thin_at_the_ceiling():
         1.5,
         RngStream(46),
         slope=1.1,
-        anchor_rates=_every_row(fn(np.zeros(1))[0]),
-        seam_radii=_every_row(0.0),
+        anchor_rates=np.full(n, fn(np.zeros(1))[0]),
+        seam_radii=np.zeros(n),
     )
     assert np.array_equal(plain, at_seam)
 
@@ -685,8 +681,8 @@ def test_a_slope_only_the_lower_bound_exposes_raises():
             1.5,
             RngStream(49),
             slope=0.01,
-            anchor_rates=_every_row(1.4),
-            seam_radii=_every_row(np.inf),
+            anchor_rates=np.full(n, 1.4),
+            seam_radii=np.full(n, np.inf),
         )
 
 
@@ -703,8 +699,8 @@ def test_no_proposal_at_or_after_a_sure_acceptance_is_evaluated():
         RngStream(50),
         block=block,
         slope=slope,
-        anchor_rates=_every_row(1.4),
-        seam_radii=_every_row(np.inf),
+        anchor_rates=np.full(n, 1.4),
+        seam_radii=np.full(n, np.inf),
     )
     radii, levels = _first_round(50, n, block, ceiling)
     assert np.all(np.isin(draws, radii))
@@ -771,7 +767,7 @@ def test_a_rate_above_its_own_rows_ceiling_raises():
 def test_equal_per_row_ceilings_draw_the_shared_ceilings_bytes(block):
     fn = LOCAL_FIELDS[2][1]  # bump: 0.9 to 2.7, slope up to 3.7
     n = 4000
-    local = dict(slope=3.7, anchor_rates=_every_row(fn(np.zeros(1))[0]), seam_radii=_every_row(2.5))
+    local = dict(slope=3.7, anchor_rates=np.full(n, fn(np.zeros(1))[0]), seam_radii=np.full(n, 2.5))
     for bounds in ({}, local):
         shared_rows, shared_calls = _counted(_radial(fn))
         shared = thin_first_arrivals(shared_rows, n, 0.9, 2.7, RngStream(62), block=block, **bounds)
